@@ -53,6 +53,7 @@ from repro.chaos.schedule import (
     ChaosSchedule,
     ChaosSpec,
 )
+from repro.durable import QUARANTINE_SUFFIX
 from repro.memory.errors import DDR_SENSITIVITIES
 from repro.memory.tester import CorrectLoopTester, DdrTestResult
 from repro.runtime.checkpoint import CampaignCheckpoint, FleetCheckpoint
@@ -70,10 +71,7 @@ from repro.transport import api as transport_api
 from repro.transport.batch import BatchTransportEngine
 from repro.transport.materials import WATER
 from repro.transport.montecarlo import Layer, SlabGeometry
-from repro.transport.surrogate.store import (
-    QUARANTINE_SUFFIX,
-    SurrogateStore,
-)
+from repro.transport.surrogate.store import SurrogateStore
 from repro.transport.tallies import TransportResult
 
 #: Transport trial sizing: 2 seed streams, 2 single-stream shards.
@@ -1108,9 +1106,10 @@ class InvariantChecker:
                         f" {data.get('degraded_reason')!r},"
                         " expected 'worker-retry'"
                     )
-                if canon_service(out) != clean.replace(
-                    '"degraded": false', '"degraded": true'
-                ):
+                # Only the envelope's flag flips; the result, its
+                # transport provenance included, must equal clean.
+                expected = dict(json.loads(clean), degraded=True)
+                if json.loads(canon_service(out)) != expected:
                     violations.append(
                         "post-worker-death result diverged from"
                         " clean"

@@ -24,7 +24,7 @@ from repro.obs import core as obs
 from repro.core.fleet import FleetSimulator
 from repro.devices import get_device
 from repro.environment import NEW_YORK, datacenter_scenario
-from repro.runtime.budget import Budget, RetryPolicy
+from repro.runtime.budget import Budget, CircuitBreaker, RetryPolicy
 from repro.runtime.errors import ConfigurationError
 from repro.runtime.supervisor import (
     CampaignRunner,
@@ -34,7 +34,7 @@ from repro.runtime.supervisor import (
     heterogeneous_plan,
 )
 from repro.service.admission import AdmissionController
-from repro.service.compute import CircuitBreaker, QueryExecutor
+from repro.service.compute import QueryExecutor
 from repro.service.cache import ResultCache
 from repro.service.server import FitService
 from repro.spectra.beamlines import rotax_spectrum

@@ -10,7 +10,8 @@ campaigns the same resilience:
 * :mod:`repro.runtime.events` — the harness flight recorder
   (isolation, degradation, retry, checkpoint, resume, deadline);
 * :mod:`repro.runtime.budget` — wall-clock deadlines, event budgets,
-  and the deterministic retry-with-backoff policy;
+  the deterministic retry-with-backoff policy, and the circuit
+  breaker;
 * :mod:`repro.runtime.checkpoint` — JSON snapshots of campaign/fleet
   state (including the ``SeedSequence`` spawn position) for
   byte-identical resume;
@@ -40,7 +41,12 @@ from repro.runtime.errors import (
     require_probability,
 )
 from repro.runtime.events import EventKind, EventLog, HarnessEvent
-from repro.runtime.budget import Budget, BudgetTracker, RetryPolicy
+from repro.runtime.budget import (
+    Budget,
+    BudgetTracker,
+    CircuitBreaker,
+    RetryPolicy,
+)
 
 __all__ = [
     "ReproError",
@@ -60,5 +66,6 @@ __all__ = [
     "HarnessEvent",
     "Budget",
     "BudgetTracker",
+    "CircuitBreaker",
     "RetryPolicy",
 ]

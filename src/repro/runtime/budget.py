@@ -1,4 +1,4 @@
-"""Budgets, deadlines, and the deterministic retry policy.
+"""Budgets, deadlines, and the deterministic failure policies.
 
 Long campaigns run against two budgets: a **wall-clock deadline**
 (beam time is allocated by the hour) and an **event budget** (each
@@ -10,6 +10,11 @@ crash.
 The clock is injectable so tests — and deterministic resume — never
 depend on when they run; the default is ``time.monotonic`` which
 measures elapsed time only (no wall-clock reads).
+
+Two deterministic failure policies sit beside the budgets:
+:class:`RetryPolicy` (how long to back off before retrying a
+transient fault) and :class:`CircuitBreaker` (when to stop using an
+engine that keeps failing).
 """
 
 from __future__ import annotations
@@ -175,4 +180,61 @@ class RetryPolicy:
         )
 
 
-__all__ = ["Budget", "BudgetTracker", "RetryPolicy"]
+class CircuitBreaker:
+    """Consecutive-failure breaker over one transport engine.
+
+    Deterministic on purpose — no clocks, no probabilities: the
+    breaker opens after ``failure_threshold`` consecutive dispatch
+    failures and closes again after ``recovery_successes``
+    consecutive successes, so chaos trials can assert its exact
+    state.
+
+    Args:
+        failure_threshold: consecutive failures that open it.
+        recovery_successes: consecutive successes that close it.
+    """
+
+    def __init__(
+        self,
+        failure_threshold: int = 2,
+        recovery_successes: int = 4,
+    ) -> None:
+        if failure_threshold < 1:
+            raise ValueError(
+                "failure_threshold must be >= 1,"
+                f" got {failure_threshold}"
+            )
+        if recovery_successes < 1:
+            raise ValueError(
+                "recovery_successes must be >= 1,"
+                f" got {recovery_successes}"
+            )
+        self.failure_threshold = failure_threshold
+        self.recovery_successes = recovery_successes
+        self._consecutive_failures = 0
+        self._successes_while_open = 0
+        self._open = False
+
+    @property
+    def open(self) -> bool:
+        """True while dispatch to the engine is disabled."""
+        return self._open
+
+    def record_failure(self) -> None:
+        """Count one dispatch failure; may open the breaker."""
+        self._consecutive_failures += 1
+        self._successes_while_open = 0
+        if self._consecutive_failures >= self.failure_threshold:
+            self._open = True
+
+    def record_success(self) -> None:
+        """Count one clean dispatch; may close the breaker."""
+        self._consecutive_failures = 0
+        if self._open:
+            self._successes_while_open += 1
+            if self._successes_while_open >= self.recovery_successes:
+                self._open = False
+                self._successes_while_open = 0
+
+
+__all__ = ["Budget", "BudgetTracker", "CircuitBreaker", "RetryPolicy"]

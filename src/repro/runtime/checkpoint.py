@@ -13,22 +13,22 @@ A digest of the plan is stored so a checkpoint can refuse to resume a
 
 Durability (format v3):
 
-* writes are write-to-tmp / fsync / rename / fsync-directory, so a
-  crash at any instant leaves either the previous checkpoint or the
-  new one — never a torn file (stale ``*.tmp`` leftovers are swept by
+* writes follow the crash model of :mod:`repro.durable`, so a crash
+  at any instant leaves either the previous checkpoint or the new one
+  — never a torn file (a stale ``*.tmp`` leftover is swept by
   :func:`cleanup_stale_tmp` on runner startup);
 * every payload carries a SHA-256 ``checksum`` over its canonical
   JSON, so a checkpoint that was silently altered on disk while
   remaining valid JSON raises :class:`CheckpointError` instead of
   resuming from wrong state.  Versions 1–2 (no checksum) still load,
-  with a :class:`UserWarning`.
+  with a :class:`UserWarning`.  A checkpoint is the run's authority,
+  not an accelerator, so a bad one is never quarantined.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +36,7 @@ from typing import Dict, List, Union
 
 from repro.beam.results import CampaignResult, ExposureResult
 from repro.chaos.faultpoints import fault_point
+from repro.durable import atomic_write, payload_checksum, tmp_path
 from repro.obs import core as obs
 from repro.runtime.errors import CheckpointError, CheckpointMismatchError
 
@@ -50,18 +51,6 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 def plan_digest(plan_dicts: List[dict]) -> str:
     """Stable SHA-256 digest of a serialized plan."""
     canonical = json.dumps(plan_dicts, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def payload_checksum(payload: dict) -> str:
-    """SHA-256 over the canonical JSON of ``payload`` sans checksum.
-
-    The ``checksum`` key itself is excluded so the digest can be both
-    computed at write time and re-verified at load time from the same
-    function.
-    """
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    canonical = json.dumps(body, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -106,76 +95,34 @@ def cleanup_stale_tmp(path: Union[str, Path]) -> bool:
     Returns:
         True when a stale tmp file was found and removed.
     """
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        if tmp.exists():
-            tmp.unlink()
-            return True
+        tmp_path(Path(path)).unlink()
     except OSError:
-        # Best-effort sweep: an unreadable tmp never blocks startup.
+        # No tmp, or an unremovable one: never blocks startup.
         return False
-    return False
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush a rename to disk by fsyncing the parent directory.
-
-    Best-effort: some filesystems refuse O_RDONLY fsync on
-    directories, and durability of the *data* was already ensured by
-    the tmp-file fsync.
-    """
-    try:
-        fd = os.open(str(directory), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+    return True
 
 
 def _write_json(path: Path, payload: dict) -> None:
     """Durably and atomically write ``payload`` as JSON.
 
-    Write-to-tmp, fsync, rename, fsync-directory: a crash at any
-    point leaves the previous checkpoint (or no file), never a torn
-    one.
-
     Traced as the ``checkpoint.write`` span; the span carries no path
     attribute so traces stay byte-identical across working
     directories.
+
+    Raises:
+        CheckpointError: when the write fails; the previous
+            checkpoint (or no file) is left in place.
     """
     with obs.span("checkpoint.write"):
         obs.inc("repro_checkpoint_writes_total")
-        tmp = path.with_suffix(path.suffix + ".tmp")
         text = json.dumps(payload, indent=2, sort_keys=True)
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
+            atomic_write(path, text, "checkpoint.write")
         except OSError as exc:
             raise CheckpointError(
                 f"cannot write checkpoint {path}: {exc}"
             ) from exc
-        # The durable-tmp / not-yet-renamed instant: a crash here must
-        # leave the previous checkpoint intact and only leak the tmp.
-        fault_point(
-            "checkpoint.write",
-            path=str(path),
-            tmp=str(tmp),
-            text=text,
-        )
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot write checkpoint {path}: {exc}"
-            ) from exc
-        _fsync_dir(path.parent)
 
 
 def _read_json(path: Path) -> dict:
@@ -410,6 +357,5 @@ __all__ = [
     "CampaignCheckpoint",
     "FleetCheckpoint",
     "cleanup_stale_tmp",
-    "payload_checksum",
     "plan_digest",
 ]

@@ -17,11 +17,7 @@ from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient
 from repro.service.coalesce import Coalescer
-from repro.service.compute import (
-    CircuitBreaker,
-    ExecutionOutcome,
-    QueryExecutor,
-)
+from repro.service.compute import ExecutionOutcome, QueryExecutor
 from repro.service.protocol import (
     ERROR_CODES,
     QUERY_KINDS,
@@ -33,7 +29,6 @@ from repro.service.server import FitService
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "Coalescer",
     "ERROR_CODES",
     "ExecutionOutcome",

@@ -1,13 +1,9 @@
 """Durable content-addressed result cache for the FIT service.
 
-Entries live at ``<root>/<key[:2]>/<key>.json`` where ``key`` is the
+Entries are :class:`~repro.durable.ContentStore` records keyed by the
 query's :meth:`~repro.service.protocol.Query.cache_key` — SHA-256
-over (plan digest, seed), the same digest discipline the checkpoint
-layer uses.  Writes follow the checkpoint write idiom exactly:
-write-to-tmp, fsync, rename, fsync-directory, so a crash at any
-instant leaves either no entry or a complete one.  Every entry also
-carries a SHA-256 ``checksum`` over its canonical JSON
-(:func:`~repro.runtime.checkpoint.payload_checksum`).
+over (plan digest, seed) — and written under the crash model of
+:mod:`repro.durable`.
 
 Failure policy, in one sentence: **the cache is an accelerator, never
 an authority** — a corrupt, torn, or unreadable entry is quarantined
@@ -18,24 +14,15 @@ metric, never surfaced to the client.
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro import serde
-from repro.chaos.faultpoints import fault_point
+from repro.durable import ContentStore
 from repro.obs import core as obs
 from repro.runtime.budget import RetryPolicy
-from repro.runtime.checkpoint import payload_checksum
-from repro.runtime.errors import TransientHarnessError
 from repro.service.protocol import Query
 
-__all__ = ["QUARANTINE_SUFFIX", "ResultCache"]
-
-#: Suffix a corrupt entry is renamed to when quarantined.
-QUARANTINE_SUFFIX = ".quarantined"
+__all__ = ["ResultCache"]
 
 
 class ResultCache:
@@ -55,168 +42,63 @@ class ResultCache:
         retry: Optional[RetryPolicy] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ) -> None:
-        self.root = Path(root)
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._sleep = time.sleep if sleep is None else sleep
+        self._entries = ContentStore(
+            root,
+            kind="service-cache-entry",
+            # Each write crosses this fault_point between its tmp
+            # fsync and its rename: a fault costs a retry at most.
+            fault_site="service.cache_write",
+            retry=retry,
+            sleep=sleep,
+            quarantine_metric="repro_service_cache_quarantined_total",
+        )
+        self.root = self._entries.root
         #: Stale ``*.tmp`` files removed at construction — exposed so
         #: ``repro serve`` can count the sweep in a metric.
         self.swept_on_init = self._sweep_stale_tmp()
 
-    # -- lookup --------------------------------------------------------
-
     def get(self, key: str) -> Optional[dict]:
         """The cached result for ``key``, or ``None``.
 
-        A missing entry is a plain miss.  An entry that fails any
-        validation — unparsable JSON, wrong schema tag, wrong key,
-        or checksum mismatch — is quarantined and reported as a miss,
-        so corrupt bytes are never served and never fatal.
+        A missing entry is a plain miss; one that fails verification
+        is quarantined and reported as a miss, so corrupt bytes are
+        never served and never fatal.
         """
-        path = self.entry_path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            return self._validate(key, raw)
-        except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, exc)
-            return None
-
-    @staticmethod
-    def _validate(key: str, raw: str) -> dict:
-        """Parse and verify one entry's bytes; raise on any defect."""
-        data = json.loads(raw)
-        if not isinstance(data, dict):
-            raise ValueError("cache entry is not a JSON object")
-        serde.check("service-cache-entry", data)
-        stored = data.get("checksum")
-        if stored is None:
-            raise ValueError("cache entry has no checksum")
-        if stored != payload_checksum(data):
-            raise ValueError("cache entry failed checksum")
-        if data.get("key") != key:
-            raise ValueError(
-                f"cache entry carries key {data.get('key')!r},"
-                f" expected {key!r}"
-            )
-        result = data["result"]
-        if not isinstance(result, dict):
-            raise ValueError("cache entry result is not an object")
-        return result
-
-    def _quarantine(self, path: Path, exc: Exception) -> None:
-        """Move a corrupt entry aside; never raises."""
-        del exc
-        obs.inc("repro_service_cache_quarantined_total")
-        try:
-            os.replace(
-                path, path.with_name(path.name + QUARANTINE_SUFFIX)
-            )
-        except OSError:
-            pass
-
-    # -- store ---------------------------------------------------------
+        body = self._entries.get(key)
+        return None if body is None else body.get("result")
 
     def put(self, key: str, query: Query, result: dict) -> bool:
         """Durably store one computed result.
 
-        Transient write faults (including torn tmp writes) are
-        retried with backoff; anything still failing afterwards — or
-        any non-transient failure — abandons the write with a
-        failure metric.  The caller's response is never affected.
+        Transient write faults are retried with backoff; anything
+        still failing afterwards — or any non-transient failure —
+        abandons the write with a failure metric.  The caller's
+        response is never affected.
 
         Returns:
             True when the entry landed on disk.
         """
-        payload = serde.tag(
-            "service-cache-entry",
-            {
-                "key": key,
-                "query": query.to_dict(),
-                "result": result,
-            },
-        )
-        payload["checksum"] = payload_checksum(payload)
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        path = self.entry_path(key)
-        for delay_s in self._retry.delays_s():
-            try:
-                self._write(path, text)
-            except (OSError, TransientHarnessError):
-                self._sleep(delay_s)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:  # noqa: BLE001 — cache is best-effort
-                # Non-transient failure: retrying would repeat it.
-                obs.inc("repro_service_cache_write_failures_total")
-                return False
-            else:
-                obs.inc("repro_service_cache_writes_total")
-                return True
         try:
-            self._write(path, text)
-        except (KeyboardInterrupt, SystemExit):
-            raise
+            self._entries.put(
+                key, {"query": query.to_dict(), "result": result}
+            )
         except Exception:  # noqa: BLE001 — cache is best-effort
             obs.inc("repro_service_cache_write_failures_total")
             return False
         obs.inc("repro_service_cache_writes_total")
         return True
 
-    @staticmethod
-    def _write(path: Path, text: str) -> None:
-        """One durable tmp/fsync/rename/fsync-dir write attempt."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        # The durable-tmp / not-yet-renamed instant: a fault here
-        # must cost at most a retry, never a torn visible entry.
-        fault_point(
-            "service.cache_write",
-            path=str(path),
-            tmp=str(tmp),
-            text=text,
-        )
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
-
-    # -- layout --------------------------------------------------------
-
     def entry_path(self, key: str) -> Path:
         """Where ``key``'s entry lives (two-level fan-out)."""
-        return self.root / key[:2] / f"{key}.json"
+        return self._entries.entry_path(key)
 
     def _sweep_stale_tmp(self) -> int:
         """Remove ``*.tmp`` leftovers from interrupted writes."""
-        if not self.root.exists():
-            return 0
         swept = 0
         for tmp in self.root.rglob("*.tmp"):
             try:
                 tmp.unlink()
-                swept += 1
             except OSError:
                 continue
+            swept += 1
         return swept
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush a rename to disk by fsyncing the parent directory.
-
-    Best-effort, mirroring the checkpoint layer: data durability was
-    already ensured by the tmp-file fsync.
-    """
-    try:
-        fd = os.open(str(directory), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)

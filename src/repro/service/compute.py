@@ -11,8 +11,9 @@ surviving the ways real compute backends die:
   executor rebuilds it and recomputes the query in-process, flagging
   the response ``degraded`` — the service answer is late, never
   wrong, never a hang.
-* **Repeated shard/worker failure** trips a :class:`CircuitBreaker`
-  that blocks the batch engine; blocked transmission queries walk
+* **Repeated shard/worker failure** trips a
+  :class:`~repro.runtime.budget.CircuitBreaker` that blocks the batch
+  engine; blocked transmission queries walk
   the shared cascade policy of :mod:`repro.transport.api`
   (batch -> deterministic -> scalar, same as the studies scheduler)
   until enough consecutive successes close the breaker again.
@@ -41,7 +42,7 @@ from repro.environment import (
 )
 from repro.faults.models import BeamKind, Outcome
 from repro.obs import core as obs
-from repro.runtime.budget import RetryPolicy
+from repro.runtime.budget import CircuitBreaker, RetryPolicy
 from repro.runtime.events import EventLog
 from repro.runtime.supervisor import Supervisor
 from repro.service.protocol import SERVICE_SITES, SHIELDS, Query
@@ -49,7 +50,6 @@ from repro.spectra.beamlines import rotax_spectrum
 from repro.transport.api import AccuracyTarget, TransportQuery, answer
 
 __all__ = [
-    "CircuitBreaker",
     "ExecutionOutcome",
     "QueryExecutor",
 ]
@@ -190,69 +190,6 @@ def _execute_query(payload: dict) -> dict:
     return _KIND_HANDLERS[payload["kind"]](payload)
 
 
-class CircuitBreaker:
-    """Consecutive-failure breaker over the batch transport engine.
-
-    Deterministic on purpose — no clocks, no probabilities: the
-    breaker opens after ``failure_threshold`` consecutive dispatch
-    failures and closes again after ``recovery_successes``
-    consecutive successes, so chaos trials can assert its exact
-    state.
-
-    Args:
-        failure_threshold: consecutive failures that open it.
-        recovery_successes: consecutive successes that close it.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 2,
-        recovery_successes: int = 4,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                "failure_threshold must be >= 1,"
-                f" got {failure_threshold}"
-            )
-        if recovery_successes < 1:
-            raise ValueError(
-                "recovery_successes must be >= 1,"
-                f" got {recovery_successes}"
-            )
-        self.failure_threshold = failure_threshold
-        self.recovery_successes = recovery_successes
-        self._consecutive_failures = 0
-        self._successes_while_open = 0
-        self._open = False
-
-    @property
-    def open(self) -> bool:
-        """True while batch-engine dispatch is disabled."""
-        return self._open
-
-    def record_failure(self) -> None:
-        """Count one dispatch failure; may open the breaker."""
-        self._consecutive_failures += 1
-        self._successes_while_open = 0
-        if self._consecutive_failures >= self.failure_threshold:
-            self._open = True
-        obs.set_gauge(
-            "repro_service_breaker_open", 1.0 if self._open else 0.0
-        )
-
-    def record_success(self) -> None:
-        """Count one clean dispatch; may close the breaker."""
-        self._consecutive_failures = 0
-        if self._open:
-            self._successes_while_open += 1
-            if self._successes_while_open >= self.recovery_successes:
-                self._open = False
-                self._successes_while_open = 0
-        obs.set_gauge(
-            "repro_service_breaker_open", 1.0 if self._open else 0.0
-        )
-
-
 @dataclass(frozen=True)
 class ExecutionOutcome:
     """One executed query: its result plus degradation flags.
@@ -376,6 +313,9 @@ class QueryExecutor:
                 self.breaker.record_failure()
             else:
                 self.breaker.record_success()
+        obs.set_gauge(
+            "repro_service_breaker_open", float(self.breaker.open)
+        )
         if degraded:
             obs.inc("repro_service_degraded_total")
         return ExecutionOutcome(

@@ -34,9 +34,9 @@ from typing import Callable, Dict, List, Optional, Set, Union
 
 from repro import serde
 from repro.chaos.faultpoints import fault_point
+from repro.durable import fsync_dir, payload_checksum
 from repro.obs import core as obs
 from repro.runtime.budget import RetryPolicy
-from repro.runtime.checkpoint import _fsync_dir, payload_checksum
 from repro.runtime.errors import (
     CheckpointError,
     TransientHarnessError,
@@ -339,7 +339,7 @@ class StudyLedger:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
-        _fsync_dir(self.path.parent)
+        fsync_dir(self.path.parent)
         self._valid_end = start + len(payload)
         # The chaos window: everything after the durable write, so a
         # kill here proves the record survives and a torn write here

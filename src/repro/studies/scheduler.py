@@ -16,10 +16,11 @@ to whole grids:
   runtime's deterministic backoff; a shard that fails
   ``max_shard_failures`` times deterministically is quarantined as
   poison and the study completes ``degraded`` instead of wedging.
-* **Engine-degradation cascade** — per-engine circuit breakers (the
-  service idiom) walk batch -> deterministic -> scalar under repeated
-  failures or budget pressure; every fallback is flagged on the shard
-  in the report.
+* **Engine-degradation cascade** — per-engine circuit breakers
+  (:class:`~repro.runtime.budget.CircuitBreaker`, as in the service)
+  walk batch -> deterministic -> scalar under repeated failures or
+  budget pressure; every fallback is flagged on the shard in the
+  report.
 """
 
 from __future__ import annotations
@@ -31,11 +32,15 @@ from typing import Callable, Dict, Optional, Set, Union
 
 from repro.chaos.faultpoints import fault_point
 from repro.obs import core as obs
-from repro.runtime.budget import Budget, BudgetTracker, RetryPolicy
+from repro.runtime.budget import (
+    Budget,
+    BudgetTracker,
+    CircuitBreaker,
+    RetryPolicy,
+)
 from repro.runtime.events import EventLog
 from repro.runtime.supervisor import Supervisor
 from repro.runtime.errors import TransientHarnessError
-from repro.service.compute import CircuitBreaker
 from repro.studies.evaluate import evaluate_shard
 from repro.studies.ledger import StudyLedger
 from repro.studies.report import StudyReport, build_report

@@ -3,27 +3,23 @@
 The shard result store is what makes at-least-once shard execution
 safe: results are keyed on ``(shard digest, seed)`` — the service
 cache's key scheme — so re-executing a shard after a crash lands on
-the same key with the same bytes.  Writes use the checkpoint layer's
-durable idiom (tmp file, flush, fsync, atomic rename, directory
-fsync) and each entry carries a serde tag plus a SHA-256 payload
-checksum; an unreadable or corrupt entry is a *miss* (the shard is
+the same key with the same bytes.  Entries are
+:class:`~repro.durable.ContentStore` records, so a torn, corrupt or
+misfiled entry is quarantined and read as a *miss* (the shard is
 deterministic, so a recompute reproduces it exactly), never a wrong
 answer.
+
+The store never sweeps stale tmp files: concurrent studies share one
+root, and a re-put after a crash overwrites its own leftover tmp.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro import serde
-from repro.chaos.faultpoints import fault_point
-from repro.obs import core as obs
+from repro.durable import ContentStore
 from repro.runtime.budget import RetryPolicy
-from repro.runtime.checkpoint import _fsync_dir, payload_checksum
 from repro.runtime.errors import TransientHarnessError
 from repro.studies.ledger import LedgerError
 
@@ -46,53 +42,25 @@ class ShardResultStore:
         retry: Optional[RetryPolicy] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ) -> None:
-        self.root = Path(root)
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._sleep = sleep if sleep is not None else time.sleep
+        self._entries = ContentStore(
+            root,
+            kind="study-shard-result",
+            # Each write crosses this fault_point between its tmp
+            # fsync and its rename: a kill there must leave the shard
+            # recomputable, a duplicate there must be idempotent.
+            fault_site="studies.shard_commit",
+            retry=retry,
+            sleep=sleep,
+        )
 
     def entry_path(self, key: str) -> Path:
-        """Where one key's entry lives (two-level fan-out)."""
-        return self.root / key[:2] / f"{key}.json"
-
-    # -- read ----------------------------------------------------------
+        """Where ``key``'s entry lives (two-level fan-out)."""
+        return self._entries.entry_path(key)
 
     def get(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key``, or ``None`` on a miss.
-
-        A corrupt entry (unparseable, wrong schema, checksum
-        mismatch) is discarded and reported as a miss — the caller
-        recomputes deterministically.
-        """
-        path = self.entry_path(key)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self._discard(path)
-            return None
-        if not isinstance(data, dict):
-            self._discard(path)
-            return None
-        try:
-            serde.check("study-shard-result", data)
-        except serde.SchemaError:
-            self._discard(path)
-            return None
-        if data.get("checksum") != payload_checksum(data):
-            self._discard(path)
-            return None
-        return data.get("payload")
-
-    @staticmethod
-    def _discard(path: Path) -> None:
-        """Drop an unreadable entry (best-effort)."""
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    # -- write ---------------------------------------------------------
+        """The stored payload for ``key``, or ``None`` on a miss."""
+        body = self._entries.get(key)
+        return None if body is None else body.get("payload")
 
     def put(self, key: str, payload: dict) -> None:
         """Durably store ``payload`` under ``key``.
@@ -102,42 +70,10 @@ class ShardResultStore:
                 result could not be made durable, so committing it to
                 the ledger would be a lie.
         """
-        record = serde.tag(
-            "study-shard-result", {"key": key, "payload": payload}
-        )
-        record["checksum"] = payload_checksum(record)
-        text = json.dumps(record, sort_keys=True)
-        attempts = self._retry.delays_s() + (None,)
-        for delay_s in attempts:
-            try:
-                self._write(key, text)
-            except (OSError, TransientHarnessError) as exc:
-                if delay_s is None:
-                    raise LedgerError(
-                        f"shard result write failed after"
-                        f" {len(attempts)} attempts: {exc}"
-                    ) from exc
-                self._sleep(delay_s)
-                continue
-            return
-
-    def _write(self, key: str, text: str) -> None:
-        """One durable write attempt (tmp, fsync, rename, dir fsync)."""
-        path = self.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        # The chaos window: after the durable tmp write, before the
-        # atomic publish — a kill here must leave the shard
-        # recomputable, a duplicate here must be idempotent.
-        fault_point(
-            "studies.shard_commit",
-            path=str(path),
-            tmp=str(tmp),
-            text=text,
-        )
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
+        try:
+            self._entries.put(key, {"payload": payload})
+        except (OSError, TransientHarnessError) as exc:
+            raise LedgerError(
+                f"shard result write failed after"
+                f" {self._entries.retry.max_attempts} attempts: {exc}"
+            ) from exc

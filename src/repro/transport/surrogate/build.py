@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import serde
+from repro.durable import payload_checksum
 from repro.obs import core as obs
-from repro.runtime.checkpoint import payload_checksum
 from repro.spectra.beamlines import rotax_spectrum
 from repro.spectra.spectrum import Spectrum
 from repro.transport.materials import (

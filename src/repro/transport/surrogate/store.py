@@ -3,33 +3,28 @@
 Artifacts live as ``<root>/<digest>.json`` where ``digest`` is the
 payload's SHA-256 checksum — the filename *is* the content address,
 so a partially-written or tampered file is detectable without any
-sidecar metadata.  Loading re-derives the checksum and serde-checks
-the envelope; anything that fails is quarantined (renamed to
-``*.quarantined``) and skipped, never served.  The
-``surrogate.artifact_load`` chaos fault point sits directly on the
-load path so the matrix can prove corrupt artifacts degrade to a
+sidecar metadata.  Saving and loading follow the crash model of
+:mod:`repro.durable`: artifacts are published atomically, and one
+that fails verification is quarantined and skipped, never served.
+The ``surrogate.artifact_load`` chaos fault point sits directly on
+the load path so the matrix can prove corrupt artifacts degrade to a
 live engine instead of poisoning answers.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import serde
 from repro.chaos.faultpoints import fault_point
+from repro.durable import atomic_write, payload_checksum, read_verified
 from repro.obs import core as obs
-from repro.runtime.checkpoint import payload_checksum
 from repro.runtime.errors import TransientHarnessError
 from repro.transport.surrogate.surface import ResponseSurface
 
-__all__ = ["SurrogateStore", "QUARANTINE_SUFFIX"]
-
-#: Rename suffix for artifacts that fail validation (mirrors the
-#: service result cache's quarantine idiom).
-QUARANTINE_SUFFIX = ".quarantined"
+__all__ = ["SurrogateStore"]
 
 
 class SurrogateStore:
@@ -66,11 +61,7 @@ class SurrogateStore:
             )
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / f"{digest}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(artifact, sort_keys=True), encoding="utf-8"
-        )
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(artifact, sort_keys=True))
         # Invalidate the cache so the next lookup sees the new file.
         self._loaded = False
         self._surfaces.clear()
@@ -79,41 +70,23 @@ class SurrogateStore:
 
     # -- loading -------------------------------------------------------
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        target = path.with_name(path.name + QUARANTINE_SUFFIX)
-        try:
-            os.replace(path, target)
-        except OSError:
-            return
-        obs.inc(
-            "repro_surrogate_quarantined_total", reason=reason
-        )
-        obs.event(
-            "surrogate.artifact_quarantined",
-            path=str(path),
-            reason=reason,
-        )
-
     def _load_file(self, path: Path) -> Optional[dict]:
-        """Validate one artifact file; quarantine on any defect."""
+        """Verify one artifact file; quarantine it on any defect.
+
+        An artifact's address is its checksum: it must be filed as
+        ``<checksum>.json``.
+        """
         fault_point("surrogate.artifact_load", path=str(path))
-        try:
-            artifact = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self._quarantine(path, reason="unreadable")
-            return None
-        try:
-            serde.check("surrogate-artifact", artifact)
-        except Exception:
-            self._quarantine(path, reason="schema")
-            return None
-        digest = payload_checksum(artifact)
-        if artifact.get("checksum") != digest:
-            self._quarantine(path, reason="checksum")
-            return None
-        if path.name != f"{digest}.json":
-            self._quarantine(path, reason="address")
-            return None
+        artifact, defect = read_verified(
+            path, "surrogate-artifact", "checksum", path.stem
+        )
+        if defect:
+            obs.inc("repro_surrogate_quarantined_total", reason=defect)
+            obs.event(
+                "surrogate.artifact_quarantined",
+                path=str(path),
+                reason=defect,
+            )
         return artifact
 
     def _load_all(self) -> None:

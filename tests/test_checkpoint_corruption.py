@@ -13,12 +13,12 @@ import pytest
 
 from repro.chaos import trials
 from repro.cli import EXIT_CHECKPOINT, main
+from repro.durable import payload_checksum
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
     CampaignCheckpoint,
     FleetCheckpoint,
     cleanup_stale_tmp,
-    payload_checksum,
 )
 from repro.runtime.errors import CheckpointError
 

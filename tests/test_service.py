@@ -8,12 +8,12 @@ import threading
 
 import pytest
 
+from repro.durable import QUARANTINE_SUFFIX, payload_checksum
 from repro.obs import core as obs
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.budget import Budget, RetryPolicy
+from repro.runtime.budget import Budget, CircuitBreaker, RetryPolicy
 from repro.service import (
     AdmissionController,
-    CircuitBreaker,
     Coalescer,
     FitService,
     Query,
@@ -21,7 +21,6 @@ from repro.service import (
     ResultCache,
     ServiceError,
 )
-from repro.service.cache import QUARANTINE_SUFFIX
 from repro.service.cli import load_plans
 from repro.service.protocol import MAX_N_NEUTRONS, parse_request
 
@@ -196,8 +195,6 @@ def test_corrupt_cache_entries_quarantined_and_recomputed(
     else:  # wrong-key
         data = json.loads(raw)
         data["key"] = "0" * 64
-        from repro.runtime.checkpoint import payload_checksum
-
         del data["checksum"]
         data["checksum"] = payload_checksum(data)
         path.write_text(json.dumps(data, indent=2, sort_keys=True))
@@ -243,7 +240,7 @@ def test_cache_write_failure_is_abandoned_not_raised(tmp_path):
         sleep=_no_sleep,
     )
     query = Query.from_params("flux", {"site": "nyc"})
-    cache.entry_path = lambda key: tmp_path / "\0bad" / "x.json"
+    cache._entries.entry_path = lambda key: tmp_path / "\0bad" / "x.json"
     registry = MetricsRegistry()
     with obs.observing(obs.Observer(registry=registry)):
         stored = cache.put("deadbeef", query, {"v": 1})

@@ -11,8 +11,8 @@ import json
 
 import pytest
 
+from repro.durable import payload_checksum
 from repro.runtime.budget import RetryPolicy
-from repro.runtime.checkpoint import payload_checksum
 from repro.runtime.errors import TransientHarnessError
 from repro.studies.ledger import (
     LEDGER_RECORD_TYPES,

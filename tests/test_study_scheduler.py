@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.runtime.budget import Budget, RetryPolicy
+from repro.runtime.budget import Budget, CircuitBreaker, RetryPolicy
 from repro.runtime.errors import TransientHarnessError
-from repro.service.compute import CircuitBreaker
 from repro.studies.evaluate import evaluate_shard
 from repro.studies.ledger import LedgerError, StudyLedger
 from repro.studies.scheduler import ENGINE_CASCADE, StudyScheduler

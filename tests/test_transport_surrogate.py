@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.chaos import trials
-from repro.runtime.checkpoint import payload_checksum
+from repro.durable import QUARANTINE_SUFFIX, payload_checksum
 from repro.service.protocol import SHIELDS
 from repro.spectra.beamlines import rotax_spectrum
 from repro.transport.materials import CADMIUM
@@ -18,7 +18,6 @@ from repro.transport.surrogate import (
     SurrogateStore,
     build_artifact,
 )
-from repro.transport.surrogate.store import QUARANTINE_SUFFIX
 from repro.transport.surrogate.build import (
     DEFAULT_SHIELD_THICKNESS_CM,
     build_surface,
