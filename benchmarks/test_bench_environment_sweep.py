@@ -22,7 +22,8 @@ from repro.environment import (
     WeatherCondition,
 )
 from repro.faults.models import Outcome
-from repro.transport import CONCRETE, WATER, thermal_albedo_enhancement
+from repro.transport import CONCRETE, WATER
+from repro.transport.api import TransportQuery, answer
 
 
 def _sweep():
@@ -101,14 +102,20 @@ def test_bench_modifiers_vs_transport(benchmark):
     """The fixed multipliers are physically plausible: the MC albedo
     of the real materials lands in the same range."""
 
+    def _albedo(material, thickness_cm):
+        query = TransportQuery(
+            mode="albedo",
+            material=material,
+            thickness_cm=thickness_cm,
+            source_energy_ev=1.0e6,
+            n_neutrons=4000,
+            seed=5,
+            engine="batch",
+        )
+        return answer(query, store=None).result.thermal_albedo()
+
     def _albedos():
-        water, _ = thermal_albedo_enhancement(
-            WATER, 5.08, n_neutrons=4000, seed=5
-        )
-        concrete, _ = thermal_albedo_enhancement(
-            CONCRETE, 20.0, n_neutrons=4000, seed=5
-        )
-        return water, concrete
+        return _albedo(WATER, 5.08), _albedo(CONCRETE, 20.0)
 
     water, concrete = run_once(benchmark, _albedos)
     # Pure normal-incidence albedo under-counts the measured

@@ -17,15 +17,6 @@ from repro import serde
 from repro.beam.results import CampaignResult, ExposureResult
 from repro.faults.models import BeamKind
 
-#: Format version written into every logbook file.  Version 2 adds
-#: the robustness fields (``isolated``, ``degraded``); version 3 adds
-#: the :mod:`repro.serde` schema tags.  Older files still load (the
-#: fields default to zero/False).
-LOGBOOK_VERSION = 3
-
-#: Versions :meth:`CampaignLogbook.from_dict` accepts.
-SUPPORTED_LOGBOOK_VERSIONS = (1, 2, 3)
-
 
 @dataclass
 class CampaignLogbook:
@@ -46,15 +37,10 @@ class CampaignLogbook:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain-dict form (JSON-ready).
-
-        Carries both the historical ``version`` field and the
-        :mod:`repro.serde` schema tags; the two always agree.
-        """
+        """Plain-dict form (JSON-ready, :mod:`repro.serde` tagged)."""
         return serde.tag(
             "logbook",
             {
-                "version": LOGBOOK_VERSION,
                 "seed": self.seed,
                 "notes": self.notes,
                 "metadata": dict(self.metadata),
@@ -66,24 +52,16 @@ class CampaignLogbook:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignLogbook":
-        """Rebuild from a plain dict.
+        """Rebuild from :meth:`to_dict` output.
 
-        Versions 1–2 (pre-serde) load with a
-        :class:`DeprecationWarning`; their version comes from the
-        historical ``version`` field.
+        A ``version`` key, which older writers added next to the
+        schema tags, is ignored.
 
         Raises:
-            repro.serde.SchemaError: on a missing/unsupported format
-                version, or when the ``version`` field and the schema
-                tag disagree (a ``ValueError`` subclass, so older
-                callers keep working).
+            repro.serde.SchemaError: on missing schema tags or a
+                version other than the current one.
         """
-        serde.check(
-            "logbook",
-            data,
-            supported=SUPPORTED_LOGBOOK_VERSIONS,
-            legacy_key="version",
-        )
+        serde.check("logbook", data)
         result = CampaignResult()
         for raw in data.get("exposures", []):
             result.add(ExposureResult.from_dict(raw))
@@ -150,6 +128,5 @@ def device_summary(logbook: CampaignLogbook) -> List[dict]:
 
 __all__ = [
     "CampaignLogbook",
-    "LOGBOOK_VERSION",
     "device_summary",
 ]

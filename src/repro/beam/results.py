@@ -89,8 +89,7 @@ class ExposureResult:
         """Plain-dict form (JSON-ready; logbooks and checkpoints).
 
         Tagged by :func:`repro.serde.tag` with the ``exposure``
-        schema, so loaders can tell at a glance which era wrote the
-        payload.
+        schema.
         """
         return serde.tag(
             "exposure",
@@ -112,13 +111,9 @@ class ExposureResult:
     def from_dict(cls, data: dict) -> "ExposureResult":
         """Rebuild from :meth:`to_dict` output.
 
-        Untagged (pre-serde) payloads still load — with a
-        :class:`DeprecationWarning` — and the robustness fields are
-        optional so version-1 logbooks load.
-
         Raises:
-            repro.serde.SchemaError: on a tagged payload whose
-                version this build does not understand.
+            repro.serde.SchemaError: on missing schema tags or a
+                version other than the current one.
         """
         serde.check("exposure", data)
         return cls(
@@ -128,10 +123,10 @@ class ExposureResult:
             fluence_per_cm2=float(data["fluence_per_cm2"]),
             sdc_count=int(data["sdc"]),
             due_count=int(data["due"]),
-            masked_count=int(data.get("masked", 0)),
+            masked_count=int(data["masked"]),
             due_mechanisms=dict(data.get("due_mechanisms", {})),
-            isolated_count=int(data.get("isolated", 0)),
-            degraded=bool(data.get("degraded", False)),
+            isolated_count=int(data["isolated"]),
+            degraded=bool(data["degraded"]),
         )
 
     def sdc_cross_section(self) -> CrossSectionEstimate:

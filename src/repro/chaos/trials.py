@@ -39,9 +39,9 @@ from repro.service.cache import ResultCache
 from repro.service.server import FitService
 from repro.spectra.beamlines import rotax_spectrum
 from repro.studies.evaluate import evaluate_shard
-from repro.studies.scheduler import ENGINE_CASCADE, StudyScheduler
+from repro.studies.scheduler import StudyScheduler
 from repro.studies.spec import Shard, StudySpec
-from repro.transport.api import TransportQuery
+from repro.transport.api import LIVE_CASCADE, TransportQuery
 from repro.transport.materials import CADMIUM
 from repro.transport.surrogate import (
     SurfaceSpec,
@@ -287,7 +287,7 @@ def make_study_scheduler(
         evaluate=poison_evaluate if poison else None,
         breakers={
             engine: CircuitBreaker(failure_threshold=10**6)
-            for engine in ENGINE_CASCADE
+            for engine in LIVE_CASCADE
         },
     )
 

@@ -52,6 +52,7 @@ from repro.memory import (
     ErrorCategory,
 )
 from repro.spectra import ROTAX_THERMAL_FLUX
+from repro.transport.api import ENGINE_POLICIES
 
 #: Named sites accepted by ``--site``.
 SITES = {
@@ -340,12 +341,6 @@ def cmd_avf(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
-#: Backwards-compatible aliases for the centralized exit codes (see
-#: :class:`repro.exitcodes.ExitCode` for the documented table).
-EXIT_INCOMPLETE = ExitCode.INCOMPLETE
-EXIT_CHECKPOINT = ExitCode.CHECKPOINT
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     """Supervised campaign with checkpoint/resume and budgets."""
     import signal
@@ -578,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histories", type=int, default=2000)
     p.add_argument(
         "--engine",
-        choices=["auto", "batch", "scalar", "deterministic",
-                 "surrogate"],
+        choices=ENGINE_POLICIES,
         default="batch",
         help="transport engine policy (deterministic = noise-free"
         " multigroup solve, --histories inert; auto/surrogate"

@@ -11,14 +11,14 @@ reduction each shield buys and carries those practicality flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.core.fit import FitCalculator
 from repro.devices.model import Device
 from repro.environment.scenario import FluxScenario
 from repro.faults.models import Outcome
 from repro.spectra.beamlines import rotax_spectrum
-from repro.transport.api import AccuracyTarget, TransportQuery, answer
+from repro.transport.api import TransportQuery, answer
 from repro.transport.materials import (
     BORATED_POLYETHYLENE,
     CADMIUM,
@@ -96,22 +96,18 @@ class ShieldingEvaluator:
     Args:
         n_neutrons: MC histories per transmission estimate.
         seed: MC seed.
-        calculator: FIT engine.
         engine: transport engine policy — ``"batch"`` (default),
             ``"scalar"``, ``"deterministic"`` (noise-free multigroup
             solve; ``n_neutrons``/``seed`` are then inert), or
             ``"auto"``/``"surrogate"`` to let the facade serve from
             a certified response surface when one covers the query.
-        accuracy: accuracy target handed to the transport facade.
     """
 
     def __init__(
         self,
         n_neutrons: int = 5000,
         seed: int = 2020,
-        calculator: Optional[FitCalculator] = None,
         engine: str = "batch",
-        accuracy: Optional[AccuracyTarget] = None,
     ) -> None:
         if n_neutrons <= 0:
             raise ValueError(
@@ -119,9 +115,8 @@ class ShieldingEvaluator:
             )
         self.n_neutrons = n_neutrons
         self.seed = seed
-        self.calculator = calculator or FitCalculator()
+        self.calculator = FitCalculator()
         self.engine = engine
-        self.accuracy = accuracy or AccuracyTarget()
 
     def thermal_transmission(self, option: ShieldOption) -> float:
         """Thermal-band transmission of a shield (via the transport
@@ -135,7 +130,6 @@ class ShieldingEvaluator:
                 n_neutrons=self.n_neutrons,
                 seed=self.seed,
                 engine=self.engine,
-                accuracy=self.accuracy,
             )
         )
         return result.result.thermal_transmission_fraction()

@@ -82,7 +82,6 @@ def predicted_water_enhancement(
     thickness_cm: float = 5.08,
     n_neutrons: int = 8000,
     seed: int = 2019,
-    engine: str = "batch",
 ) -> float:
     """MC-transport prediction of the water albedo enhancement.
 
@@ -100,7 +99,7 @@ def predicted_water_enhancement(
             source_energy_ev=1.0e6,
             n_neutrons=n_neutrons,
             seed=seed,
-            engine=engine,
+            engine="batch",
         )
     )
     return served.result.thermal_albedo()

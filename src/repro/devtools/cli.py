@@ -40,13 +40,6 @@ from repro.exitcodes import ExitCode
 #: Default lint roots, relative to the working directory.
 DEFAULT_ROOTS = ("src/repro", "tests", "benchmarks", "examples")
 
-#: Exit codes: clean / violations found / bad invocation.  Kept as
-#: module aliases for backwards compatibility; the canonical values
-#: live in :class:`repro.exitcodes.ExitCode`.
-EXIT_OK = ExitCode.OK
-EXIT_VIOLATIONS = ExitCode.FAILURE
-EXIT_USAGE = ExitCode.USAGE
-
 #: Render function per ``--format`` choice.
 _RENDERERS = {
     "json": lambda report, args: render_json(report),
@@ -136,7 +129,7 @@ def run_lint(args: argparse.Namespace) -> int:
             print(
                 f"{rule.rule_id} [{profiles}]{scope} {rule.description}"
             )
-        return EXIT_OK
+        return ExitCode.OK
     try:
         changed = changed_paths(args.base) if args.changed else None
         if args.project:
@@ -163,12 +156,12 @@ def run_lint(args: argparse.Namespace) -> int:
             )
     except FileNotFoundError as exc:
         print(f"repro lint: {exc.args[0]}")
-        return EXIT_USAGE
+        return ExitCode.USAGE
     except (KeyError, RuntimeError) as exc:
         print(f"repro lint: {exc.args[0]}")
-        return EXIT_USAGE
+        return ExitCode.USAGE
     print(_RENDERERS[args.format](report, args))
-    return EXIT_OK if report.ok else EXIT_VIOLATIONS
+    return ExitCode.OK if report.ok else ExitCode.FAILURE
 
 
 def _run_project(
@@ -187,10 +180,10 @@ def _run_project(
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro lint: {exc.args[0]}")
-        return EXIT_USAGE
+        return ExitCode.USAGE
     except KeyError as exc:
         print(f"repro lint: {exc.args[0]}")
-        return EXIT_USAGE
+        return ExitCode.USAGE
     if args.update_baseline:
         kept = shrunk_baseline(report, entries)
         save_baseline(kept, baseline_path)
@@ -206,7 +199,7 @@ def _run_project(
             "stale baseline entry (fixed? run --update-baseline):"
             f" {entry.format()}"
         )
-    return EXIT_OK if outcome.ok else EXIT_VIOLATIONS
+    return ExitCode.OK if outcome.ok else ExitCode.FAILURE
 
 
 def lint(
@@ -317,9 +310,6 @@ def _split_codes(raw: Sequence[str]) -> List[str]:
 
 
 __all__ = [
-    "EXIT_OK",
-    "EXIT_USAGE",
-    "EXIT_VIOLATIONS",
     "add_lint_arguments",
     "changed_paths",
     "lint",

@@ -14,7 +14,6 @@ Project-scope rules (whole-program, via :mod:`repro.devtools.xref`):
 * ``REP102`` — registry drift (:mod:`.drift`)
 * ``REP103`` — call-site unit consistency (:mod:`.callunits`)
 * ``REP104`` — stale exports (:mod:`.exports`)
-* ``REP105`` — legacy transport entrypoints (:mod:`.legacy`)
 """
 
 from repro.devtools.rules import (
@@ -23,7 +22,6 @@ from repro.devtools.rules import (
     determinism,
     drift,
     exports,
-    legacy,
     mutability,
     seedflow,
     units,
@@ -35,7 +33,6 @@ __all__ = [
     "determinism",
     "drift",
     "exports",
-    "legacy",
     "mutability",
     "seedflow",
     "units",

@@ -20,8 +20,7 @@ Durability (format v3):
 * every payload carries a SHA-256 ``checksum`` over its canonical
   JSON, so a checkpoint that was silently altered on disk while
   remaining valid JSON raises :class:`CheckpointError` instead of
-  resuming from wrong state.  Versions 1–2 (no checksum) still load,
-  with a :class:`UserWarning`.  A checkpoint is the run's authority,
+  resuming from wrong state.  A checkpoint is the run's authority,
   not an accelerator, so a bad one is never quarantined.
 """
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Union
@@ -40,12 +38,9 @@ from repro.durable import atomic_write, payload_checksum, tmp_path
 from repro.obs import core as obs
 from repro.runtime.errors import CheckpointError, CheckpointMismatchError
 
-#: Format version written into every checkpoint file.
+#: Format version written into, and the only one read from, every
+#: checkpoint file.
 CHECKPOINT_VERSION = 3
-
-#: Versions :func:`_check_version` accepts (older ones load with a
-#: warning and without checksum verification).
-SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 def plan_digest(plan_dicts: List[dict]) -> str:
@@ -58,24 +53,14 @@ def verify_checksum(data: dict, path: Union[str, Path]) -> None:
     """Validate the stored payload checksum of a loaded checkpoint.
 
     Raises:
-        CheckpointError: when a v3+ checkpoint is missing its
-            checksum or the stored value does not match the payload
-            (the file was altered at rest).
+        CheckpointError: when the checkpoint is missing its checksum
+            or the stored value does not match the payload (the file
+            was altered at rest).
     """
-    version = data.get("version", 0)
-    if version < 3:
-        warnings.warn(
-            f"checkpoint {path} uses format v{version} (no payload"
-            " checksum); silent on-disk corruption cannot be"
-            " detected — rewrite it by running with --checkpoint",
-            UserWarning,
-            stacklevel=2,
-        )
-        return
     stored = data.get("checksum")
     if stored is None:
         raise CheckpointError(
-            f"checkpoint {path} (v{version}) has no payload checksum"
+            f"checkpoint {path} has no payload checksum"
         )
     expected = payload_checksum(data)
     if stored != expected:
@@ -153,10 +138,10 @@ def _read_json(path: Path) -> dict:
 
 def _check_version(data: dict, path: Union[str, Path]) -> None:
     version = data.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r} in {path};"
-            f" supported: {SUPPORTED_VERSIONS}"
+            f" supported: {CHECKPOINT_VERSION}"
         )
 
 

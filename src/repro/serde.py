@@ -1,27 +1,21 @@
 """Unified result serialization: schema tags and version checks.
 
 Every result record the harness persists — exposures, transport
-tallies, chaos verdicts, logbooks — historically rolled its own
-``to_dict``/``from_dict`` with ad-hoc (or absent) versioning.  This
-module centralizes the contract:
+tallies, chaos verdicts, logbooks, study and service records — carries
+the same two tags:
 
 * :func:`tag` stamps a payload with ``"schema"`` (the record kind) and
   ``"schema_version"`` (the kind's current format version from
   :data:`SCHEMA_VERSIONS`).
-* :func:`check` validates an incoming payload and returns the version
-  to decode as.  Untagged legacy payloads still load — they resolve to
-  the kind's legacy version (or a ``legacy_key`` such as the logbook's
-  historical ``"version"`` field) under a :class:`DeprecationWarning`.
+* :func:`check` validates an incoming payload: both tags present, the
+  expected kind, and the kind's current version.
 
-Version mismatches raise :class:`SchemaError`, a ``ValueError``
-subclass, so callers that historically caught ``ValueError`` keep
-working unchanged.
+A failed check raises :class:`SchemaError`, a ``ValueError``
+subclass, so callers that reject bad input as ``ValueError`` catch it
+too.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Optional, Sequence
 
 __all__ = [
     "SCHEMA_KEY",
@@ -38,44 +32,44 @@ SCHEMA_KEY = "schema"
 #: Payload key carrying the record's format version.
 VERSION_KEY = "schema_version"
 
-#: Current format version per record kind.  Bump a kind's entry when
-#: its payload shape changes; teach its ``from_dict`` the old shapes.
+#: Current format version per record kind; loaders read this version
+#: only.  Bump a kind's entry when its payload shape changes.
 SCHEMA_VERSIONS = {
-    # v1: untagged dicts (pre-serde); v2 adds the schema tags.
+    # One beam exposure: outcome counts, fluence and the robustness
+    # fields (isolated crashes, degraded fidelity).
     "exposure": 2,
-    # First tagged release: TransportResult previously had no dict
-    # form at all.
+    # A live Monte Carlo transport tally (counts per channel).
     "transport": 1,
-    # v1: untagged chaos verdict matrices; v2 adds the schema tags.
+    # The chaos harness's verdict matrix.
     "chaos-report": 2,
-    # v1/v2: logbook's own "version" field; v3 adds the schema tags.
+    # A campaign logbook: exposures plus their provenance.
     "logbook": 3,
-    # v1: result/cached/degraded envelope; v2 adds the accuracy-aware
+    # The service response envelope with its accuracy-aware
     # "provenance" block (engine used, error bound, artifact digest).
     "service-response": 2,
-    # First tagged release: durable on-disk result-cache entries
-    # (carry their own SHA-256 payload checksum).
+    # Durable on-disk result-cache entries (carry their own SHA-256
+    # payload checksum).
     "service-cache-entry": 1,
-    # First tagged release: the deterministic engine's noise-free
-    # counterpart to "transport" (fractions instead of counts).
+    # The deterministic engine's noise-free counterpart to
+    # "transport" (fractions instead of counts).
     "deterministic-transport": 1,
-    # First tagged release: group-collapsed cross-section tables
-    # (the golden-test payload for the condensation step).
+    # Group-collapsed cross-section tables (the golden-test payload
+    # for the condensation step).
     "collapsed-material": 1,
-    # First tagged release: declarative sharded-study specifications.
+    # Declarative sharded-study specifications.
     "study-spec": 1,
-    # First tagged release: one write-ahead-ledger record (carries
-    # its own SHA-256 payload checksum and sequence number).
+    # One write-ahead-ledger record (carries its own SHA-256 payload
+    # checksum and sequence number).
     "study-ledger-record": 1,
-    # First tagged release: durable content-addressed shard results.
+    # Durable content-addressed shard results.
     "study-shard-result": 1,
-    # First tagged release: the merged study report.
+    # The merged study report.
     "study-report": 1,
-    # First tagged release: certified surrogate response-surface
-    # bundles (carry their own SHA-256 payload checksum).
+    # Certified surrogate response-surface bundles (carry their own
+    # SHA-256 payload checksum).
     "surrogate-artifact": 1,
-    # First tagged release: a surface-served transport answer
-    # (fractions plus certified per-channel bounds).
+    # A surface-served transport answer (fractions plus certified
+    # per-channel bounds).
     "surrogate-transport": 1,
 }
 
@@ -108,68 +102,39 @@ def tag(kind: str, body: dict) -> dict:
     return tagged
 
 
-def check(
-    kind: str,
-    data: dict,
-    supported: Optional[Sequence[int]] = None,
-    legacy_key: str = "",
-) -> int:
-    """Validate a payload's schema declaration; return its version.
+def check(kind: str, data: dict) -> int:
+    """Validate a payload's schema tags; return its version.
 
     Args:
         kind: expected record kind.
         data: the payload to inspect.
-        supported: versions the caller can decode (default: 1 through
-            the kind's current version).
-        legacy_key: payload key older formats used for their version
-            (e.g. the logbook's ``"version"``).  When the payload has
-            no ``schema_version``, the legacy key's value is used; a
-            payload carrying *both* with different values is rejected.
 
     Returns:
-        The version to decode the payload as.  Untagged payloads
-        resolve to the legacy key's value, or 1, and emit a
-        :class:`DeprecationWarning` — re-save to upgrade them.
+        The kind's current version, the only one a payload may
+        declare.
 
     Raises:
-        SchemaError: wrong kind tag, conflicting version
-            declarations, or a version outside ``supported``.
+        SchemaError: a missing tag, a wrong kind, or a version other
+            than the kind's current one.
     """
     current = _current_version(kind)
     declared_kind = data.get(SCHEMA_KEY)
-    if declared_kind is not None and declared_kind != kind:
+    version = data.get(VERSION_KEY)
+    if declared_kind is None or version is None:
+        raise SchemaError(
+            f"untagged {kind} payload: {SCHEMA_KEY!r} and"
+            f" {VERSION_KEY!r} are required"
+        )
+    if declared_kind != kind:
         raise SchemaError(
             f"expected a {kind!r} payload, got {declared_kind!r}"
         )
-    version = data.get(VERSION_KEY)
-    legacy = data.get(legacy_key) if legacy_key else None
-    if version is None:
-        version = legacy
-        if version is None:
-            version = 1
-        warnings.warn(
-            f"loading untagged legacy {kind} payload (treated as"
-            f" version {version}); re-save to upgrade to version"
-            f" {current}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    elif legacy is not None and legacy != version:
-        raise SchemaError(
-            f"conflicting {kind} version declarations:"
-            f" {legacy_key}={legacy!r} vs {VERSION_KEY}={version!r}"
-        )
-    allowed = (
-        tuple(supported)
-        if supported is not None
-        else tuple(range(1, current + 1))
-    )
-    if version not in allowed:
+    if version != current:
         raise SchemaError(
             f"unsupported {kind} version {version!r};"
-            f" expected one of {allowed}"
+            f" expected {current}"
         )
-    return int(version)
+    return current
 
 
 def _current_version(kind: str) -> int:

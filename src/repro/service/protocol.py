@@ -39,6 +39,7 @@ from repro.environment import (
 )
 from repro.runtime.checkpoint import plan_digest
 from repro.runtime.errors import ReproError
+from repro.transport.api import ENGINE_POLICIES
 from repro.transport.materials import (
     BORATED_POLYETHYLENE,
     CADMIUM,
@@ -104,13 +105,6 @@ SHIELDS: Dict[str, Tuple[Material, float]] = {
 #: Per-query Monte Carlo history cap (admission control for the one
 #: parameter that directly buys CPU time).
 MAX_N_NEUTRONS = 200_000
-
-#: Transport engine policies a transmission query may request
-#: (:data:`repro.transport.api.ENGINE_POLICIES`).  The deterministic
-#: engine and the surrogate ignore ``n_neutrons``/``seed`` (their
-#: answers are noise-free fractions) but both stay
-#: admission-controlled.
-_ENGINES = ("auto", "batch", "deterministic", "scalar", "surrogate")
 
 #: Wire protocol versions this server accepts.  v1 requests carry no
 #: ``accuracy`` field (defaults apply); v2 adds ``accuracy`` on
@@ -287,11 +281,15 @@ class Query:
                 f"n_neutrons must be in [1, {MAX_N_NEUTRONS}],"
                 f" got {n_neutrons}",
             )
+        # Any engine policy may be requested.  The deterministic
+        # engine and the surrogate ignore n_neutrons/seed (their
+        # answers are noise-free fractions), but the cap above still
+        # applies to them.
         engine = params.get("engine", "batch")
-        if engine not in _ENGINES:
+        if engine not in ENGINE_POLICIES:
             raise ServiceError(
                 "bad-request",
-                f"unknown engine {engine!r}; valid: {_ENGINES}",
+                f"unknown engine {engine!r}; valid: {ENGINE_POLICIES}",
             )
         return {
             "shield": str(shield),

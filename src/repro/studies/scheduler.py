@@ -48,13 +48,7 @@ from repro.studies.spec import Shard, StudySpec
 from repro.studies.store import ShardResultStore
 from repro.transport.api import LIVE_CASCADE, pick_live_engine
 
-__all__ = ["ENGINE_CASCADE", "StudyOutcome", "StudyScheduler"]
-
-#: Fallback order under failure or budget pressure — the shared
-#: cascade policy from :mod:`repro.transport.api` (the service
-#: breaker walks the same sequence).  Kept as a name here for
-#: backwards compatibility.
-ENGINE_CASCADE = LIVE_CASCADE
+__all__ = ["StudyOutcome", "StudyScheduler"]
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,7 @@ class StudyScheduler:
         self.breakers = (
             breakers
             if breakers is not None
-            else {engine: CircuitBreaker() for engine in ENGINE_CASCADE}
+            else {engine: CircuitBreaker() for engine in LIVE_CASCADE}
         )
         self.events = EventLog()
         self._supervisor = Supervisor(

@@ -23,8 +23,6 @@ from repro.transport.montecarlo import (
     Layer,
     SlabGeometry,
     SlabTransport,
-    shield_transmission,
-    thermal_albedo_enhancement,
 )
 from repro.transport.analytic import (
     absorber_transmission,
@@ -59,8 +57,6 @@ __all__ = [
     "Layer",
     "SlabGeometry",
     "SlabTransport",
-    "shield_transmission",
-    "thermal_albedo_enhancement",
     "absorber_transmission",
     "diffusion_coefficient_cm",
     "diffusion_length_cm",

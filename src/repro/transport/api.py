@@ -235,8 +235,9 @@ class Provenance:
             (``"surrogate"`` or a live engine name).
         requested_engine: the query's engine policy.
         error_bound: certified absolute bound on the headline value
-            (surrogate answers) or the MC standard error proxy
-            (0.0 for deterministic/live answers without one).
+            (surrogate answers), the headline value's binomial
+            standard error (batch/scalar answers), or 0.0
+            (deterministic answers).
         confidence: statistical coverage of ``error_bound``.
         artifact_digest: content address of the serving artifact
             (``""`` for live answers).
@@ -320,8 +321,7 @@ def default_store() -> Optional[SurrogateStore]:
 
 
 def _run_live(query: TransportQuery, engine: str):
-    """Run a live engine exactly as the legacy free functions did
-    (same geometry/RNG construction, so results are bit-identical)."""
+    """Run a live engine on a one-layer slab seeded by the query."""
     geometry = SlabGeometry(
         [Layer(query.material, query.thickness_cm)]
     )
@@ -428,10 +428,10 @@ def answer(
         reason = cascade_reason
     stderr = 0.0
     if engine in ("batch", "scalar"):
-        try:
-            stderr = float(result.thermal_albedo_stderr())
-        except (AttributeError, ZeroDivisionError):
-            stderr = 0.0
+        if query.mode == "albedo":
+            stderr = result.thermal_albedo_stderr()
+        else:
+            stderr = result.thermal_transmission_stderr()
     provenance = Provenance(
         engine=engine,
         requested_engine=requested,

@@ -388,90 +388,3 @@ class SlabTransport:
         forward = x >= self.geometry.total_thickness_cm
         key = ("transmitted_" if forward else "reflected_") + band
         setattr(tally, key, getattr(tally, key) + 1)
-
-
-def thermal_albedo_enhancement(
-    material: Material,
-    thickness_cm: float,
-    n_neutrons: int = 20_000,
-    incident_energy_ev: float = 1.0e6,
-    seed: int = 2020,
-    engine: Union[str, Engine] = Engine.BATCH,
-) -> Tuple[float, float]:
-    """Thermal albedo of a slab hit by fast neutrons.
-
-    .. deprecated::
-        Use :func:`repro.transport.api.answer` with an ``"albedo"``
-        :class:`~repro.transport.api.TransportQuery` instead; this
-        shim survives one release and never consults the surrogate.
-
-    Returns:
-        ``(albedo, stderr)``.
-    """
-    import warnings
-
-    from repro.transport import api
-
-    warnings.warn(
-        "thermal_albedo_enhancement() is deprecated; build a"
-        " repro.transport.api.TransportQuery(mode='albedo', ...)"
-        " and call repro.transport.api.answer()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    answer = api.answer(
-        api.TransportQuery(
-            mode="albedo",
-            material=material,
-            thickness_cm=thickness_cm,
-            source_energy_ev=incident_energy_ev,
-            n_neutrons=n_neutrons,
-            seed=seed,
-            engine=Engine.coerce(engine).value,
-        ),
-        store=None,
-    )
-    result = answer.result
-    return result.thermal_albedo(), result.thermal_albedo_stderr()
-
-
-def shield_transmission(
-    material: Material,
-    thickness_cm: float,
-    source_spectrum: Spectrum,
-    n_neutrons: int = 20_000,
-    seed: int = 2020,
-    engine: Union[str, Engine] = Engine.BATCH,
-) -> Union[TransportResult, "DeterministicTransportResult"]:
-    """Transport an incident spectrum through a shield layer.
-
-    .. deprecated::
-        Use :func:`repro.transport.api.answer` with a
-        ``"transmission"`` :class:`~repro.transport.api.TransportQuery`
-        instead; this shim survives one release and never consults
-        the surrogate.
-    """
-    import warnings
-
-    from repro.transport import api
-
-    warnings.warn(
-        "shield_transmission() is deprecated; build a"
-        " repro.transport.api.TransportQuery(mode='transmission',"
-        " ...) and call repro.transport.api.answer()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    answer = api.answer(
-        api.TransportQuery(
-            mode="transmission",
-            material=material,
-            thickness_cm=thickness_cm,
-            source_spectrum=source_spectrum,
-            n_neutrons=n_neutrons,
-            seed=seed,
-            engine=Engine.coerce(engine).value,
-        ),
-        store=None,
-    )
-    return answer.result

@@ -184,6 +184,11 @@ class TransportResult:
         """Binomial standard error of :meth:`thermal_albedo`."""
         return self._stderr(self.reflected_thermal)
 
+    def thermal_transmission_stderr(self) -> float:
+        """Binomial standard error of
+        :meth:`thermal_transmission_fraction`."""
+        return self._stderr(self.transmitted_thermal)
+
     def absorption_fraction(self) -> float:
         """Fraction absorbed anywhere in the stack."""
         return self._fraction(self.absorbed)

@@ -2,12 +2,9 @@
 
 import pytest
 
+from repro import serde
 from repro.beam import IrradiationCampaign, chipir, rotax
-from repro.beam.logbook import (
-    CampaignLogbook,
-    LOGBOOK_VERSION,
-    device_summary,
-)
+from repro.beam.logbook import CampaignLogbook, device_summary
 from repro.devices import get_device
 from repro.faults.models import Outcome
 
@@ -48,12 +45,13 @@ class TestRoundTrip:
 
     def test_version_checked(self, logbook):
         data = logbook.to_dict()
-        data["version"] = 999
+        data[serde.VERSION_KEY] = 999
         with pytest.raises(ValueError, match="version"):
             CampaignLogbook.from_dict(data)
 
     def test_version_constant_written(self, logbook):
-        assert logbook.to_dict()["version"] == LOGBOOK_VERSION
+        data = logbook.to_dict()
+        assert data[serde.VERSION_KEY] == serde.SCHEMA_VERSIONS["logbook"]
 
 
 class TestMerge:

@@ -12,8 +12,9 @@ import json
 import pytest
 
 from repro.chaos import trials
-from repro.cli import EXIT_CHECKPOINT, main
+from repro.cli import main
 from repro.durable import payload_checksum
+from repro.exitcodes import ExitCode
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
     CampaignCheckpoint,
@@ -27,6 +28,16 @@ def _campaign_checkpoint(tmp_path):
     """A genuine mid-run campaign checkpoint on disk."""
     path = tmp_path / "ck.json"
     trials.make_campaign_runner(path).run(max_steps=2)
+    return path
+
+
+def _v2_checkpoint(tmp_path):
+    """A campaign checkpoint in format v2, which had no checksum."""
+    path = _campaign_checkpoint(tmp_path)
+    data = json.loads(path.read_text())
+    data["version"] = 2
+    del data["checksum"]
+    path.write_text(json.dumps(data))
     return path
 
 
@@ -87,15 +98,10 @@ class TestAtRestCorruption:
         with pytest.raises(CheckpointError, match="checksum"):
             CampaignCheckpoint.load(path)
 
-    def test_old_version_loads_with_warning(self, tmp_path):
-        path = _campaign_checkpoint(tmp_path)
-        data = json.loads(path.read_text())
-        data["version"] = 2
-        del data["checksum"]
-        path.write_text(json.dumps(data))
-        with pytest.warns(UserWarning, match="format v2"):
-            loaded = CampaignCheckpoint.load(path)
-        assert loaded.next_step == 2
+    def test_old_version_rejected(self, tmp_path):
+        path = _v2_checkpoint(tmp_path)
+        with pytest.raises(CheckpointError, match="version 2"):
+            CampaignCheckpoint.load(path)
 
     def test_fleet_truncation_rejected(self, tmp_path):
         path = _fleet_checkpoint(tmp_path)
@@ -186,7 +192,7 @@ class TestCliExitCode:
                 "--resume",
             ]
         )
-        assert code == EXIT_CHECKPOINT == 4
+        assert code == ExitCode.CHECKPOINT == 4
         out = capsys.readouterr().out
         assert "checkpoint error" in out
 
@@ -207,5 +213,20 @@ class TestCliExitCode:
                 "--resume",
             ]
         )
-        assert code == EXIT_CHECKPOINT
+        assert code == ExitCode.CHECKPOINT
         assert "checksum" in capsys.readouterr().out
+
+    def test_run_resume_v2_checkpoint_exits_4(self, tmp_path, capsys):
+        path = _v2_checkpoint(tmp_path)
+        code = main(
+            [
+                "run",
+                "--plan",
+                "heterogeneous",
+                "--checkpoint",
+                str(path),
+                "--resume",
+            ]
+        )
+        assert code == ExitCode.CHECKPOINT
+        assert "version 2" in capsys.readouterr().out

@@ -38,7 +38,7 @@ class TestRegistry:
     def test_project_rules_registered(self):
         ids = {rule.rule_id for rule in project_rules_for(None, None)}
         assert {
-            "REP101", "REP102", "REP103", "REP104", "REP105",
+            "REP101", "REP102", "REP103", "REP104",
         } <= ids
 
     def test_unknown_id_rejected(self):
@@ -177,58 +177,6 @@ class TestStaleExports:
     def test_suppressible(self):
         report = lint_fixture("proj_exports", "REP104")
         assert suppressed(report) == [("quiet.py", 3)]
-
-
-class TestLegacyEntrypoints:
-    """REP105: deprecated transport free functions in library code."""
-
-    def test_fires_on_every_spelling(self):
-        report = lint_fixture("proj_legacy", "REP105")
-        assert located(report) == [
-            ("bad.py", 9),  # module-path shield_transmission
-            ("bad.py", 14),  # re-exported thermal_albedo_enhancement
-        ]
-        assert all(v.rule_id == "REP105" for v in report.violations)
-
-    def test_message_points_at_the_facade(self):
-        report = lint_fixture("proj_legacy", "REP105")
-        first = report.violations[0]
-        assert "shield_transmission" in first.message
-        assert "TransportQuery" in first.message
-        assert "repro.transport.api.answer" in first.message
-
-    def test_facade_callers_are_clean(self):
-        report = lint_fixture("proj_legacy", "REP105")
-        assert not any(
-            Path(v.path).name == "clean.py" for v in report.violations
-        )
-
-    def test_transport_package_is_exempt(self):
-        # The shims' own home delegates freely (compat.py lives in a
-        # stub repro.transport package inside the fixture).
-        report = lint_fixture("proj_legacy", "REP105")
-        assert not any(
-            Path(v.path).name == "compat.py"
-            for v in report.violations
-        )
-
-    def test_test_profile_modules_are_exempt(self, tmp_path):
-        # Under the tests profile the shims may be exercised
-        # deliberately (golden comparisons against the facade).
-        bad = (
-            FIXTURES / "proj_legacy" / "pkg" / "bad.py"
-        ).read_text()
-        pkg = tmp_path / "tests"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "test_shim.py").write_text(bad)
-        engine = LintEngine(select=["REP105"])
-        report = engine.lint_project([tmp_path])
-        assert report.violations == ()
-
-    def test_suppressible(self):
-        report = lint_fixture("proj_legacy", "REP105")
-        assert suppressed(report) == [("quiet.py", 8)]
 
 
 class TestEngineProjectMode:

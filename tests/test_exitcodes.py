@@ -28,25 +28,6 @@ class TestExitCode:
         assert [m.value for m in ExitCode] == [0, 1, 2, 3, 4, 5, 6]
 
 
-class TestAliases:
-    def test_main_cli_aliases(self):
-        from repro.cli import EXIT_CHECKPOINT, EXIT_INCOMPLETE
-
-        assert EXIT_INCOMPLETE is ExitCode.INCOMPLETE
-        assert EXIT_CHECKPOINT is ExitCode.CHECKPOINT
-
-    def test_devtools_aliases(self):
-        from repro.devtools.cli import (
-            EXIT_OK,
-            EXIT_USAGE,
-            EXIT_VIOLATIONS,
-        )
-
-        assert EXIT_OK is ExitCode.OK
-        assert EXIT_VIOLATIONS is ExitCode.FAILURE
-        assert EXIT_USAGE is ExitCode.USAGE
-
-
 class TestSubcommandsUseExitCodes:
     def test_chaos_list_sites_ok(self, capsys):
         from repro.cli import main

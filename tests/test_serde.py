@@ -1,20 +1,32 @@
 """Unified result serialization: schema tags and version checks."""
 
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro import serde
-from repro.beam.logbook import (
-    CampaignLogbook,
-    LOGBOOK_VERSION,
-)
+from repro.beam.logbook import CampaignLogbook
 from repro.beam.results import (
     CampaignResult,
     ExposureResult,
 )
 from repro.faults.models import BeamKind
 from repro.transport.tallies import TransportResult, TransportTally
+
+
+#: A logbook of :meth:`TestLogbookRoundTrip._logbook`, saved by the
+#: code that preceded the current loader.
+PARENT_LOGBOOK = Path(__file__).parent / "data" / "campaign-logbook.json"
+
+
+def _untagged(data):
+    """``data`` without its schema tags."""
+    return {
+        key: value
+        for key, value in data.items()
+        if key not in (serde.SCHEMA_KEY, serde.VERSION_KEY)
+    }
 
 
 def _exposure():
@@ -69,33 +81,9 @@ class TestCheck:
         with pytest.raises(serde.SchemaError):
             serde.check("exposure", tagged)
 
-    def test_untagged_payload_warns_and_defaults_to_v1(self):
-        with pytest.warns(DeprecationWarning):
-            assert serde.check("exposure", {"device": "x"}) == 1
-
-    def test_untagged_payload_uses_legacy_key(self):
-        with pytest.warns(DeprecationWarning):
-            version = serde.check(
-                "logbook",
-                {"version": 2},
-                supported=(1, 2, 3),
-                legacy_key="version",
-            )
-        assert version == 2
-
-    def test_conflicting_versions_rejected(self):
-        data = serde.tag("logbook", {})
-        data["version"] = 1
-        with pytest.raises(serde.SchemaError):
-            serde.check("logbook", data, legacy_key="version")
-
-    def test_agreeing_versions_accepted(self):
-        data = serde.tag("logbook", {})
-        data["version"] = LOGBOOK_VERSION
-        assert (
-            serde.check("logbook", data, legacy_key="version")
-            == LOGBOOK_VERSION
-        )
+    def test_untagged_payload_rejected(self):
+        with pytest.raises(serde.SchemaError, match="untagged"):
+            serde.check("exposure", {"device": "x"})
 
     def test_future_version_rejected(self):
         data = serde.tag("exposure", {})
@@ -103,10 +91,11 @@ class TestCheck:
         with pytest.raises(serde.SchemaError):
             serde.check("exposure", data)
 
-    def test_supported_overrides_default_range(self):
+    def test_older_version_rejected(self):
         data = serde.tag("exposure", {})
-        with pytest.raises(serde.SchemaError):
-            serde.check("exposure", data, supported=(1,))
+        data[serde.VERSION_KEY] = 1
+        with pytest.raises(serde.SchemaError, match="version 1"):
+            serde.check("exposure", data)
 
 
 class TestExposureRoundTrip:
@@ -117,13 +106,10 @@ class TestExposureRoundTrip:
         restored = ExposureResult.from_dict(data)
         assert restored == original
 
-    def test_legacy_untagged_payload_loads_with_warning(self):
-        data = _exposure().to_dict()
-        del data[serde.SCHEMA_KEY]
-        del data[serde.VERSION_KEY]
-        with pytest.warns(DeprecationWarning):
-            restored = ExposureResult.from_dict(data)
-        assert restored == _exposure()
+    def test_untagged_payload_rejected(self):
+        data = _untagged(_exposure().to_dict())
+        with pytest.raises(serde.SchemaError, match="untagged"):
+            ExposureResult.from_dict(data)
 
 
 class TestTransportRoundTrip:
@@ -154,6 +140,11 @@ class TestTransportRoundTrip:
         with pytest.raises(serde.SchemaError):
             TransportResult.from_dict(data)
 
+    def test_untagged_payload_rejected(self):
+        data = _untagged(self._result().to_dict())
+        with pytest.raises(serde.SchemaError, match="untagged"):
+            TransportResult.from_dict(data)
+
 
 class TestLogbookRoundTrip:
     def _logbook(self):
@@ -175,22 +166,31 @@ class TestLogbookRoundTrip:
         assert restored.seed == 2020
         assert restored.result.exposures == [_exposure()]
 
-    def test_tag_agrees_with_version_field(self):
+    def test_tag_replaces_version_field(self):
         data = self._logbook().to_dict()
-        assert data["version"] == LOGBOOK_VERSION
-        assert data[serde.VERSION_KEY] == LOGBOOK_VERSION
+        assert data[serde.SCHEMA_KEY] == "logbook"
+        assert data[serde.VERSION_KEY] == serde.SCHEMA_VERSIONS["logbook"]
+        assert "version" not in data
 
-    def test_v2_logbook_loads_with_warning(self):
-        data = self._logbook().to_dict()
-        del data[serde.SCHEMA_KEY]
-        del data[serde.VERSION_KEY]
+    def test_parent_commit_logbook_loads_without_warning(self):
+        # Saved by the code that still wrote the pre-serde "version"
+        # field next to the schema tags.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restored = CampaignLogbook.load(PARENT_LOGBOOK)
+        assert restored == self._logbook()
+
+    def test_untagged_payload_rejected(self):
+        data = _untagged(self._logbook().to_dict())
+        with pytest.raises(serde.SchemaError, match="untagged"):
+            CampaignLogbook.from_dict(data)
+
+    def test_v2_logbook_rejected(self):
+        data = _untagged(self._logbook().to_dict())
         data["version"] = 2
-        for raw in data["exposures"]:
-            del raw[serde.SCHEMA_KEY]
-            del raw[serde.VERSION_KEY]
-        with pytest.warns(DeprecationWarning):
-            restored = CampaignLogbook.from_dict(data)
-        assert restored.result.exposures == [_exposure()]
+        data["exposures"] = [_untagged(raw) for raw in data["exposures"]]
+        with pytest.raises(serde.SchemaError, match="untagged"):
+            CampaignLogbook.from_dict(data)
 
     def test_unknown_version_rejected(self):
         data = self._logbook().to_dict()

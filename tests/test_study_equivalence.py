@@ -22,7 +22,7 @@ from repro.service.protocol import SHIELDS
 from repro.spectra.beamlines import rotax_spectrum
 from repro.studies.scheduler import StudyScheduler
 from repro.studies.spec import StudySpec
-from repro.transport.montecarlo import shield_transmission
+from repro.transport.api import TransportQuery, answer
 
 #: Same gate as the engine cross-validation suite: fixed seeds make
 #: this deterministic, so a trip is a real divergence.
@@ -120,14 +120,18 @@ class TestStatisticalEquivalence:
         for row in report.rows:
             if row["point"]["shield"] != shield:
                 continue
-            independent = shield_transmission(
-                material,
-                thickness_cm,
-                rotax_spectrum(),
-                n_neutrons=N_NEUTRONS,
-                seed=987_654,
-                engine="batch",
-            )
+            independent = answer(
+                TransportQuery(
+                    mode="transmission",
+                    material=material,
+                    thickness_cm=thickness_cm,
+                    source_spectrum=rotax_spectrum(),
+                    n_neutrons=N_NEUTRONS,
+                    seed=987_654,
+                    engine="batch",
+                ),
+                store=None,
+            ).result
             z = _two_proportion_z(
                 row["mc_transmitted_thermal"],
                 independent.transmitted_thermal,

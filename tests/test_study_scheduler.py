@@ -8,8 +8,9 @@ from repro.runtime.budget import Budget, CircuitBreaker, RetryPolicy
 from repro.runtime.errors import TransientHarnessError
 from repro.studies.evaluate import evaluate_shard
 from repro.studies.ledger import LedgerError, StudyLedger
-from repro.studies.scheduler import ENGINE_CASCADE, StudyScheduler
+from repro.studies.scheduler import StudyScheduler
 from repro.studies.spec import StudySpec
+from repro.transport.api import LIVE_CASCADE
 
 
 def _no_sleep(_delay_s):
@@ -157,7 +158,7 @@ class TestQuarantine:
 
         breakers = {
             e: CircuitBreaker(failure_threshold=10**6)
-            for e in ENGINE_CASCADE
+            for e in LIVE_CASCADE
         }
         outcome = _scheduler(
             tmp_path, spec=spec, evaluate=poison, breakers=breakers
@@ -199,7 +200,7 @@ class TestEngineCascade:
             return evaluate_shard(shard, spec, engine)
 
         breakers = {
-            e: CircuitBreaker() for e in ENGINE_CASCADE
+            e: CircuitBreaker() for e in LIVE_CASCADE
         }
         while not breakers["batch"].open:
             breakers["batch"].record_failure()
@@ -258,7 +259,7 @@ class TestEngineCascade:
     def test_degraded_results_rerun_stays_stable(self, tmp_path):
         """A degraded commit is durable: re-running with healthy
         breakers must not silently upgrade committed shards."""
-        breakers = {e: CircuitBreaker() for e in ENGINE_CASCADE}
+        breakers = {e: CircuitBreaker() for e in LIVE_CASCADE}
         while not breakers["batch"].open:
             breakers["batch"].record_failure()
         first = _scheduler(tmp_path, breakers=breakers).run()

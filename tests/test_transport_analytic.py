@@ -10,8 +10,8 @@ from repro.transport.analytic import (
     diffusion_length_cm,
     uncollided_transmission,
 )
+from repro.transport.api import TransportQuery, answer
 from repro.transport.materials import AIR, CADMIUM, WATER
-from repro.transport.montecarlo import shield_transmission
 
 
 class TestClosedForms:
@@ -55,10 +55,18 @@ class TestMcAgreement:
         """Cadmium in the thermal band: absorption dominates, so the
         MC transmission should agree with exp(-Sigma_a x)."""
         thickness = 0.02  # thin enough for measurable transmission
-        mc = shield_transmission(
-            CADMIUM, thickness, rotax_spectrum(),
-            n_neutrons=4000, seed=5,
-        )
+        mc = answer(
+            TransportQuery(
+                mode="transmission",
+                material=CADMIUM,
+                thickness_cm=thickness,
+                source_spectrum=rotax_spectrum(),
+                n_neutrons=4000,
+                seed=5,
+                engine="batch",
+            ),
+            store=None,
+        ).result
         # Fold the analytic form over the sampled spectrum energies.
         rng = np.random.default_rng(5)
         energies = rotax_spectrum().sample_energies(rng, 4000)
@@ -75,7 +83,16 @@ class TestMcAgreement:
         )
 
     def test_air_mc_matches_unity(self):
-        mc = shield_transmission(
-            AIR, 10.0, rotax_spectrum(), n_neutrons=1000, seed=6
-        )
+        mc = answer(
+            TransportQuery(
+                mode="transmission",
+                material=AIR,
+                thickness_cm=10.0,
+                source_spectrum=rotax_spectrum(),
+                n_neutrons=1000,
+                seed=6,
+                engine="batch",
+            ),
+            store=None,
+        ).result
         assert mc.transmission_fraction() > 0.99

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.chaos import trials
@@ -21,6 +23,7 @@ from repro.transport.api import (
     pick_live_engine,
     set_default_store,
 )
+from repro.transport.materials import WATER
 from repro.transport.montecarlo import Engine
 from repro.transport.surrogate import SurrogateStore
 from repro.transport.surrogate.surface import ABS_SERVE_FLOOR
@@ -198,6 +201,19 @@ def test_auto_policy_without_store_runs_live_undegraded():
     assert served.provenance.engine == "batch"
     assert served.provenance.degraded is False
     assert served.provenance.reason == ""
+
+
+def test_batch_transmission_bound_is_the_transmission_stderr():
+    served = answer(
+        _query(engine="batch", material=WATER, thickness_cm=1.0),
+        store=None,
+    )
+    result = served.result
+    p = result.transmitted_thermal / result.source
+    assert 0.0 < p < 1.0
+    assert served.provenance.error_bound == pytest.approx(
+        math.sqrt(p * (1.0 - p) / result.source)
+    )
 
 
 def test_named_engine_ignores_the_surrogate(surrogate_root):

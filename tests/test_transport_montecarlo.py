@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.spectra.beamlines import rotax_spectrum
+from repro.transport.api import TransportQuery, answer
 from repro.transport.materials import (
     AIR,
     BORATED_POLYETHYLENE,
@@ -15,9 +16,34 @@ from repro.transport.montecarlo import (
     Layer,
     SlabGeometry,
     SlabTransport,
-    shield_transmission,
-    thermal_albedo_enhancement,
 )
+
+
+def _batch_result(mode, material, thickness_cm, **query):
+    """The batch engine's result for a query, surrogates bypassed."""
+    return answer(
+        TransportQuery(
+            mode=mode,
+            material=material,
+            thickness_cm=thickness_cm,
+            engine="batch",
+            **query,
+        ),
+        store=None,
+    ).result
+
+
+def _albedo(material, thickness_cm, n_neutrons, seed):
+    """Thermal albedo under a 1 MeV beam, and its standard error."""
+    result = _batch_result(
+        "albedo",
+        material,
+        thickness_cm,
+        source_energy_ev=1.0e6,
+        n_neutrons=n_neutrons,
+        seed=seed,
+    )
+    return result.thermal_albedo(), result.thermal_albedo_stderr()
 
 
 class TestGeometry:
@@ -128,16 +154,16 @@ class TestTransport:
 
 class TestAlbedo:
     def test_water_albedo_grows_with_thickness(self):
-        thin, _ = thermal_albedo_enhancement(
+        thin, _ = _albedo(
             WATER, 1.0, n_neutrons=2500, seed=7
         )
-        thick, _ = thermal_albedo_enhancement(
+        thick, _ = _albedo(
             WATER, 8.0, n_neutrons=2500, seed=7
         )
         assert thick > thin
 
     def test_two_inches_water_band(self):
-        albedo, stderr = thermal_albedo_enhancement(
+        albedo, stderr = _albedo(
             WATER, 5.08, n_neutrons=3000, seed=8
         )
         assert 0.08 < albedo < 0.35
@@ -145,10 +171,10 @@ class TestAlbedo:
 
     def test_borated_poly_reflects_fewer_thermals(self):
         # The boron eats the thermalized population before it leaves.
-        plain, _ = thermal_albedo_enhancement(
+        plain, _ = _albedo(
             POLYETHYLENE, 5.0, n_neutrons=2500, seed=9
         )
-        borated, _ = thermal_albedo_enhancement(
+        borated, _ = _albedo(
             BORATED_POLYETHYLENE, 5.0, n_neutrons=2500, seed=9
         )
         assert borated < plain
@@ -156,19 +182,32 @@ class TestAlbedo:
 
 class TestShielding:
     def test_cadmium_blanks_thermal_beam(self):
-        result = shield_transmission(
-            CADMIUM, 0.1, rotax_spectrum(), n_neutrons=2000, seed=10
+        result = _batch_result(
+            "transmission",
+            CADMIUM,
+            0.1,
+            source_spectrum=rotax_spectrum(),
+            n_neutrons=2000,
+            seed=10,
         )
         assert result.thermal_transmission_fraction() < 0.01
 
     def test_thicker_shield_transmits_less(self):
-        thin = shield_transmission(
-            BORATED_POLYETHYLENE, 1.0, rotax_spectrum(),
-            n_neutrons=2000, seed=11,
+        thin = _batch_result(
+            "transmission",
+            BORATED_POLYETHYLENE,
+            1.0,
+            source_spectrum=rotax_spectrum(),
+            n_neutrons=2000,
+            seed=11,
         )
-        thick = shield_transmission(
-            BORATED_POLYETHYLENE, 6.0, rotax_spectrum(),
-            n_neutrons=2000, seed=11,
+        thick = _batch_result(
+            "transmission",
+            BORATED_POLYETHYLENE,
+            6.0,
+            source_spectrum=rotax_spectrum(),
+            n_neutrons=2000,
+            seed=11,
         )
         assert (
             thick.thermal_transmission_fraction()
