@@ -18,12 +18,11 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
 from conftest import run_once
 from repro.obs.core import Observer, enabled, inc, observing, span
 from repro.obs.metrics import MetricsRegistry
-from repro.transport import Layer, SlabGeometry, SlabTransport, WATER
+from repro.transport import WATER
+from repro.transport.api import TransportQuery, answer
 
 N_CALLS = 200_000
 
@@ -80,16 +79,17 @@ def test_bench_disabled_counter(benchmark, announce):
 
 def _transport_run(n_histories: int) -> float:
     """One seeded batch-transport run; returns wall seconds."""
-    transport = SlabTransport(
-        SlabGeometry([Layer(WATER, _THICKNESS_CM)]),
-        rng=np.random.default_rng(2020),
-    )
-    start = time.perf_counter()
-    result = transport.run(
-        n_histories,
+    query = TransportQuery(
+        mode="transmission",
+        material=WATER,
+        thickness_cm=_THICKNESS_CM,
         source_energy_ev=_SOURCE_ENERGY_EV,
+        n_neutrons=n_histories,
+        seed=2020,
         engine="batch",
     )
+    start = time.perf_counter()
+    result = answer(query, store=None).result
     assert result.balance_check()
     return time.perf_counter() - start
 

@@ -22,11 +22,10 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
-
 from conftest import run_once
 from repro.analysis import format_table
-from repro.transport import WATER, Layer, SlabGeometry, SlabTransport
+from repro.transport import WATER
+from repro.transport.api import TransportQuery, answer
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _RESULT_PATH = _REPO_ROOT / "BENCH_transport.json"
@@ -39,17 +38,25 @@ _THICKNESS_CM = 5.0
 _SWEEP_THICKNESSES_CM = (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
+def _run(engine: str, thickness_cm: float, n_histories: int):
+    """One live-engine answer for the water slab, surrogates bypassed."""
+    return answer(
+        TransportQuery(
+            mode="transmission",
+            material=WATER,
+            thickness_cm=thickness_cm,
+            source_energy_ev=_SOURCE_ENERGY_EV,
+            n_neutrons=n_histories,
+            seed=2020,
+            engine=engine,
+        ),
+        store=None,
+    ).result
+
+
 def _time_engine(engine: str, n_histories: int) -> dict:
-    transport = SlabTransport(
-        SlabGeometry([Layer(WATER, _THICKNESS_CM)]),
-        rng=np.random.default_rng(2020),
-    )
     start = time.perf_counter()
-    result = transport.run(
-        n_histories,
-        source_energy_ev=_SOURCE_ENERGY_EV,
-        engine=engine,
-    )
+    result = _run(engine, _THICKNESS_CM, n_histories)
     elapsed = time.perf_counter() - start
     assert result.balance_check()
     return {
@@ -62,22 +69,14 @@ def _time_engine(engine: str, n_histories: int) -> dict:
 def _time_sweep(engine: str, n_histories: int) -> dict:
     """One engine over the committed thickness sweep.
 
-    Each point builds a fresh ``SlabTransport`` — exactly what a
-    shielding scan does — so the deterministic lane pays its full
-    per-geometry setup (mesh + response matrices) every point and
-    only the module-level condensation cache carries over.
+    Each point is a fresh facade answer, which builds a fresh engine —
+    exactly what a shielding scan does — so the deterministic lane
+    pays its full per-geometry setup (mesh + response matrices) every
+    point and only the module-level condensation cache carries over.
     """
     start = time.perf_counter()
     for thickness_cm in _SWEEP_THICKNESSES_CM:
-        transport = SlabTransport(
-            SlabGeometry([Layer(WATER, thickness_cm)]),
-            rng=np.random.default_rng(2020),
-        )
-        result = transport.run(
-            n_histories,
-            source_energy_ev=_SOURCE_ENERGY_EV,
-            engine=engine,
-        )
+        result = _run(engine, thickness_cm, n_histories)
         assert result.balance_check()
     elapsed = time.perf_counter() - start
     return {

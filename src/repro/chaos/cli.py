@@ -29,9 +29,9 @@ SMOKE_TRIALS = 1
 def parse_sites(raw: Sequence[str]) -> List[str]:
     """Validate ``--site`` values against the declared fault points.
 
-    Mirrors :meth:`repro.transport.montecarlo.Engine.coerce`: bare
-    strings stay the user interface, but unknown values fail fast
-    with the allowed set spelled out.
+    Mirrors :func:`repro.transport.api.coerce_policy`: bare strings
+    stay the user interface, but unknown values fail fast with the
+    allowed set spelled out.
 
     Raises:
         ConfigurationError: on a site no fault point declares.

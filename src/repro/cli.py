@@ -35,10 +35,6 @@ from repro.core.checkpoint import CheckpointPlanner
 from repro.detector import water_step_experiment
 from repro.devices import DEVICES, get_device
 from repro.environment import (
-    ISIS,
-    LEADVILLE,
-    LOS_ALAMOS,
-    NEW_YORK,
     Site,
     WeatherCondition,
     datacenter_scenario,
@@ -51,22 +47,15 @@ from repro.memory import (
     DDR_SENSITIVITIES,
     ErrorCategory,
 )
+from repro.service.protocol import SERVICE_SITES
 from repro.spectra import ROTAX_THERMAL_FLUX
 from repro.transport.api import ENGINE_POLICIES
-
-#: Named sites accepted by ``--site``.
-SITES = {
-    "nyc": NEW_YORK,
-    "leadville": LEADVILLE,
-    "lanl": LOS_ALAMOS,
-    "isis": ISIS,
-}
 
 
 def _site(args: argparse.Namespace) -> Site:
     if args.altitude is not None:
         return Site("custom", args.altitude, args.latitude)
-    return SITES[args.site]
+    return SERVICE_SITES[args.site]
 
 
 def _scenario(args: argparse.Namespace):
@@ -85,7 +74,7 @@ def _scenario(args: argparse.Namespace):
 
 def _add_site_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--site", choices=sorted(SITES), default="nyc",
+        "--site", choices=sorted(SERVICE_SITES), default="nyc",
         help="named deployment site",
     )
     parser.add_argument(

@@ -22,8 +22,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.detector.tubes import He3Tube
+from repro.transport.batch import BatchTransportEngine
 from repro.transport.materials import POLYETHYLENE
-from repro.transport.montecarlo import Layer, SlabGeometry, SlabTransport
+from repro.transport.montecarlo import Layer, SlabGeometry
 
 #: Representative energy per unfolding band, eV.
 BAND_ENERGIES: Dict[str, float] = {
@@ -114,14 +115,13 @@ def response_matrix(
                 ).digest()[:4],
                 "big",
             )
-            transport = SlabTransport(
-                geometry,
-                rng=np.random.default_rng(
-                    np.random.SeedSequence([seed, key])
-                ),
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, key])
             )
-            result = transport.run(
-                n_neutrons, source_energy_ev=energy
+            result = BatchTransportEngine(geometry).run(
+                n_neutrons,
+                source_energy_ev=energy,
+                seed=int(rng.integers(0, 2**63)),
             )
             row.append(
                 result.thermal_transmission_fraction() * efficiency

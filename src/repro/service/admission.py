@@ -23,8 +23,7 @@ exceptions.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.obs import core as obs
 from repro.runtime.budget import Budget, BudgetTracker
@@ -36,6 +35,10 @@ from repro.service.protocol import ServiceError
 
 __all__ = ["AdmissionController"]
 
+#: EWMA smoothing factor for per-kind latency estimates (higher =
+#: more reactive).
+_LATENCY_ALPHA = 0.2
+
 
 class AdmissionController:
     """Gates queries on load, tenant budgets, and deadlines.
@@ -43,35 +46,21 @@ class AdmissionController:
     Args:
         max_inflight: global concurrent-query ceiling; queries beyond
             it are shed with ``overloaded``.
-        default_budget: budget applied to tenants without an explicit
-            one (``None`` = unbudgeted).
-        tenant_budgets: per-tenant budget overrides.
-        clock: injectable monotonic clock for budget deadlines.
-        latency_alpha: EWMA smoothing factor for per-kind latency
-            estimates (higher = more reactive).
+        default_budget: budget each tenant gets, tracked per tenant
+            (``None`` = unbudgeted).
     """
 
     def __init__(
         self,
         max_inflight: int = 64,
         default_budget: Optional[Budget] = None,
-        tenant_budgets: Optional[Dict[str, Budget]] = None,
-        clock: Optional[Callable[[], float]] = None,
-        latency_alpha: float = 0.2,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        if not 0.0 < latency_alpha <= 1.0:
-            raise ValueError(
-                f"latency_alpha must be in (0, 1], got {latency_alpha}"
-            )
         self.max_inflight = max_inflight
         self._default_budget = default_budget
-        self._budget_overrides = dict(tenant_budgets or {})
-        self._clock = time.monotonic if clock is None else clock
-        self._alpha = latency_alpha
         self._trackers: Dict[str, BudgetTracker] = {}
         self._latency_s: Dict[str, float] = {}
         self.inflight = 0
@@ -133,19 +122,16 @@ class AdmissionController:
             self._latency_s[kind] = elapsed_s
         else:
             self._latency_s[kind] = (
-                self._alpha * elapsed_s
-                + (1.0 - self._alpha) * previous
+                _LATENCY_ALPHA * elapsed_s
+                + (1.0 - _LATENCY_ALPHA) * previous
             )
 
     def _tracker(self, tenant: str) -> Optional[BudgetTracker]:
         """The tenant's budget tracker, created on first sight."""
+        if self._default_budget is None:
+            return None
         tracker = self._trackers.get(tenant)
         if tracker is None:
-            budget = self._budget_overrides.get(
-                tenant, self._default_budget
-            )
-            if budget is None:
-                return None
-            tracker = BudgetTracker(budget, clock=self._clock)
+            tracker = BudgetTracker(self._default_budget)
             self._trackers[tenant] = tracker
         return tracker

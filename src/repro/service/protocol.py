@@ -83,9 +83,8 @@ ERROR_CODES = (
     "shutting-down",
 )
 
-#: Named deployment sites a query may reference (mirrors the CLI's
-#: ``--site`` vocabulary; duplicated here so the protocol layer never
-#: imports the CLI).
+#: Named deployment sites a query may reference; the CLI's ``--site``
+#: choices read this table too.
 SERVICE_SITES: Dict[str, Site] = {
     "nyc": NEW_YORK,
     "leadville": LEADVILLE,

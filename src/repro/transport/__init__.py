@@ -19,10 +19,9 @@ from repro.transport.batch import (
     scattered_energies_ev,
 )
 from repro.transport.montecarlo import (
-    Engine,
     Layer,
+    ScalarTransportEngine,
     SlabGeometry,
-    SlabTransport,
 )
 from repro.transport.analytic import (
     absorber_transmission,
@@ -53,10 +52,9 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "HISTORIES_PER_STREAM",
     "scattered_energies_ev",
-    "Engine",
     "Layer",
+    "ScalarTransportEngine",
     "SlabGeometry",
-    "SlabTransport",
     "absorber_transmission",
     "diffusion_coefficient_cm",
     "diffusion_length_cm",

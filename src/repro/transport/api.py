@@ -18,19 +18,22 @@ source of truth for "batch is unavailable, what now?".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple, Union
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import core as obs
 from repro.runtime.errors import ConfigurationError
 from repro.spectra.spectrum import Spectrum
+from repro.transport.batch import BatchTransportEngine
 from repro.transport.materials import Material
 from repro.transport.montecarlo import (
-    Engine,
     Layer,
+    ScalarTransportEngine,
     SlabGeometry,
-    SlabTransport,
+)
+from repro.transport.multigroup.solver import (
+    DeterministicTransportEngine,
 )
 from repro.transport.surrogate.store import SurrogateStore
 from repro.transport.surrogate.surface import (
@@ -73,14 +76,12 @@ ENGINE_POLICIES = (
 LIVE_CASCADE = ("batch", "deterministic", "scalar")
 
 
-def coerce_policy(value: Union[str, Engine]) -> str:
+def coerce_policy(value: str) -> str:
     """Normalise an engine policy string.
 
     Raises:
         ConfigurationError: on an unknown policy.
     """
-    if isinstance(value, Engine):
-        return value.value
     name = str(value).lower()
     if name not in ENGINE_POLICIES:
         raise ConfigurationError(
@@ -321,18 +322,32 @@ def default_store() -> Optional[SurrogateStore]:
 
 
 def _run_live(query: TransportQuery, engine: str):
-    """Run a live engine on a one-layer slab seeded by the query."""
+    """Run one live engine on a one-layer slab seeded by the query.
+
+    The only code that maps a live-engine name to an engine.  The
+    scalar engine consumes ``default_rng(query.seed)``; the batch
+    engine seeds its ``SeedSequence`` tree with one integer drawn
+    from that generator.  The deterministic solver uses no
+    randomness and answers per source neutron.
+    """
     geometry = SlabGeometry(
         [Layer(query.material, query.thickness_cm)]
     )
-    transport = SlabTransport(
-        geometry, rng=np.random.default_rng(query.seed)
-    )
-    return transport.run(
-        query.n_neutrons,
+    source = dict(
         source_energy_ev=query.source_energy_ev,
         source_spectrum=query.source_spectrum,
-        engine=engine,
+    )
+    if engine == "deterministic":
+        return DeterministicTransportEngine(geometry).run(**source)
+    rng = np.random.default_rng(query.seed)
+    if engine == "batch":
+        return BatchTransportEngine(geometry).run(
+            query.n_neutrons,
+            seed=int(rng.integers(0, 2**63)),
+            **source,
+        )
+    return ScalarTransportEngine(geometry, rng=rng).run(
+        query.n_neutrons, **source
     )
 
 
@@ -426,12 +441,12 @@ def answer(
         # is still worth surfacing.
         degraded = True
         reason = cascade_reason
-    stderr = 0.0
-    if engine in ("batch", "scalar"):
-        if query.mode == "albedo":
-            stderr = result.thermal_albedo_stderr()
-        else:
-            stderr = result.thermal_transmission_stderr()
+    # Every engine's result has both stderr accessors: binomial for
+    # the MC engines, 0.0 for the deterministic solver.
+    if query.mode == "albedo":
+        stderr = result.thermal_albedo_stderr()
+    else:
+        stderr = result.thermal_transmission_stderr()
     provenance = Provenance(
         engine=engine,
         requested_engine=requested,

@@ -1,6 +1,6 @@
 """Vectorized, event-based batch Monte Carlo transport engine.
 
-The scalar loop in :mod:`repro.transport.montecarlo` follows one
+The scalar engine in :mod:`repro.transport.montecarlo` follows one
 neutron at a time; this module carries **all alive neutrons as NumPy
 arrays** (position, direction cosine, energy) and advances them
 collision-step by collision-step with masked array operations.  The
@@ -343,14 +343,15 @@ def _sweep_worker(args):
 class BatchTransportEngine:
     """Event-based vectorized transport over a :class:`SlabGeometry`.
 
-    Usually reached through ``SlabTransport.run(engine="batch")``;
-    instantiate directly to reuse the cached geometry tables across
-    many runs of a campaign.
+    Usually reached through the transport facade
+    (:func:`repro.transport.api.answer` with ``engine="batch"``);
+    instantiate directly for multi-layer stacks or to reuse the
+    cached geometry tables across many runs of a campaign.
 
     Args:
         geometry: the slab stack.
         bath_energy_ev: thermal-bath floor energy (defaults to kT at
-            room temperature, matching :class:`SlabTransport`).
+            room temperature, matching the scalar engine).
     """
 
     def __init__(

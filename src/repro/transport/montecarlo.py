@@ -1,4 +1,10 @@
-"""1-D slab Monte Carlo for neutron moderation and albedo.
+"""1-D slab geometry and the per-history Monte Carlo engine.
+
+:class:`SlabGeometry` is the stack every transport engine runs on;
+:class:`ScalarTransportEngine` follows one neutron at a time and is
+the oracle the batch and deterministic engines are held to.  Callers
+ask transport questions through :mod:`repro.transport.api`, which
+picks the engine.
 
 Good-enough physics for the questions the paper asks of it:
 
@@ -19,21 +25,14 @@ that reproduces the Tin-II +24 % step (experiment E5) and the
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.transport.multigroup.solver import (
-        DeterministicTransportResult,
-    )
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.physics.constants import BOLTZMANN_EV_PER_K, ROOM_TEMPERATURE_K
 from repro.physics.interactions import scattered_energy
 from repro.physics.units import THERMAL_CUTOFF_EV, FAST_CUTOFF_EV
-from repro.runtime.errors import ConfigurationError
 from repro.spectra.spectrum import Spectrum
 from repro.transport.materials import Material
 from repro.transport.tallies import TransportResult, TransportTally
@@ -115,52 +114,6 @@ class SlabGeometry:
         return self._bounds.copy()
 
 
-class Engine(enum.Enum):
-    """Validated transport-engine selector.
-
-    Replaces the bare ``"batch"`` / ``"scalar"`` strings:
-    :meth:`coerce` still accepts those strings (every existing call
-    site keeps working) but rejects anything else with a
-    :class:`~repro.runtime.errors.ConfigurationError` naming the
-    allowed set, instead of failing deep inside a run.
-
-    Members:
-        BATCH: vectorized Monte Carlo (the default) — statistical
-            answers with binomial error bars.
-        SCALAR: the original per-history Monte Carlo loop, kept as
-            the statistical oracle.
-        DETERMINISTIC: the multigroup discrete-ordinates solver —
-            noise-free fractional answers, no RNG use, and orders of
-            magnitude faster for wide parameter sweeps.
-    """
-
-    BATCH = "batch"
-    SCALAR = "scalar"
-    DETERMINISTIC = "deterministic"
-
-    @classmethod
-    def coerce(cls, value: Union[str, "Engine"]) -> "Engine":
-        """Normalize a user-supplied engine selector.
-
-        Args:
-            value: an :class:`Engine` member or its string value.
-
-        Raises:
-            repro.runtime.errors.ConfigurationError: for anything
-                else (the message lists the allowed values).
-        """
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            allowed = tuple(member.value for member in cls)
-            raise ConfigurationError(
-                f"unknown transport engine {value!r};"
-                f" allowed: {allowed}"
-            ) from None
-
-
 def _classify(energy_ev: float) -> str:
     """Band label for a leaking neutron."""
     if energy_ev < THERMAL_CUTOFF_EV:
@@ -170,8 +123,14 @@ def _classify(energy_ev: float) -> str:
     return "fast"
 
 
-class SlabTransport:
-    """Monte Carlo transport through a :class:`SlabGeometry`.
+class ScalarTransportEngine:
+    """Per-history Monte Carlo transport through a :class:`SlabGeometry`.
+
+    Follows one neutron at a time from birth to leak or absorption.
+    It is the statistical oracle the vectorized
+    :class:`~repro.transport.batch.BatchTransportEngine` is held to
+    (``tests/test_transport_equivalence.py``) and the live cascade's
+    floor; callers that want throughput use the batch engine.
 
     Args:
         geometry: the slab stack.
@@ -179,7 +138,7 @@ class SlabTransport:
             at ``kT`` of this bath.
         rng: NumPy generator (seeded by the caller; defaults to the
             fixed-seed ``default_rng(0)`` so default-constructed
-            transports are deterministic).
+            engines are deterministic).
     """
 
     def __init__(
@@ -196,11 +155,6 @@ class SlabTransport:
         self.geometry = geometry
         self.bath_energy_ev = BOLTZMANN_EV_PER_K * bath_temperature_k
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        # Engine slots: every engine attribute exists from birth (a
-        # ``getattr(self, ..., None)`` probe used to paper over the
-        # missing attribute) and is built lazily exactly once.
-        self._batch = None  # BatchTransportEngine
-        self._deterministic = None  # DeterministicTransportEngine
 
     # ------------------------------------------------------------------
 
@@ -209,47 +163,22 @@ class SlabTransport:
         n_neutrons: int,
         source_energy_ev: float | None = None,
         source_spectrum: Spectrum | None = None,
-        engine: Union[str, Engine] = Engine.BATCH,
-        batch_size: int | None = None,
-        n_workers: int | None = None,
-    ) -> Union[TransportResult, "DeterministicTransportResult"]:
+    ) -> TransportResult:
         """Transport ``n_neutrons`` through the stack.
 
         Exactly one of ``source_energy_ev`` / ``source_spectrum`` must
-        be given.  Neutrons start at ``x = 0`` moving in ``+x``.
+        be given.  Neutrons start at ``x = 0`` moving in ``+x``.  Runs
+        consume the engine's ``rng`` stream, so repeated runs differ
+        but a freshly seeded engine is deterministic.
 
         Args:
             n_neutrons: number of source histories.
             source_energy_ev: monoenergetic source energy, eV.
             source_spectrum: alternatively, a spectrum to sample.
-            engine: :attr:`Engine.BATCH` (vectorized, the default),
-                :attr:`Engine.SCALAR` (the original per-history loop,
-                kept as the statistical oracle) or
-                :attr:`Engine.DETERMINISTIC` (the noise-free
-                multigroup solver); the strings ``"batch"`` /
-                ``"scalar"`` / ``"deterministic"`` are accepted.  The
-                MC engines consume the transport's ``rng`` stream, so
-                repeated runs differ but a freshly seeded transport
-                is deterministic; the deterministic engine never
-                touches the stream — repeat solves are bit-identical
-                (answers are fractions per source neutron, so
-                ``n_neutrons`` does not affect them).
-            batch_size: batch engine only — histories co-resident per
-                vectorized sweep (rounded up to whole seed streams).
-                Tallies do not depend on it.
-            n_workers: batch engine only — optional process fan-out
-                for campaign-scale runs; tallies do not depend on it.
 
         Returns:
-            A frozen :class:`TransportResult` (MC engines) or the
-            accessor-compatible ``DeterministicTransportResult``
-            (deterministic engine).
-
-        Raises:
-            repro.runtime.errors.ConfigurationError: for an unknown
-                ``engine`` selector.
+            A frozen :class:`TransportResult`.
         """
-        engine = Engine.coerce(engine)
         if n_neutrons <= 0:
             raise ValueError(f"need n_neutrons > 0, got {n_neutrons}")
         if (source_energy_ev is None) == (source_spectrum is None):
@@ -260,29 +189,6 @@ class SlabTransport:
             raise ValueError(
                 f"source energy must be positive,"
                 f" got {source_energy_ev}"
-            )
-        if engine is Engine.DETERMINISTIC:
-            # No RNG use at all: the solver is a pure function of the
-            # geometry and the source.  ``n_neutrons`` is validated
-            # for interface symmetry but the answer is per source
-            # neutron.
-            return self._deterministic_engine().run(
-                source_energy_ev=source_energy_ev,
-                source_spectrum=source_spectrum,
-            )
-        if engine is Engine.BATCH:
-            # Deterministic hand-off: one integer drawn from the shared
-            # stream seeds the batch engine's SeedSequence tree, so the
-            # batch path has the same "same seed, same result /
-            # repeated runs differ" contract as the scalar loop.
-            entropy = int(self.rng.integers(0, 2**63))
-            return self._batch_engine().run(
-                n_neutrons,
-                source_energy_ev=source_energy_ev,
-                source_spectrum=source_spectrum,
-                seed=entropy,
-                batch_size=batch_size,
-                n_workers=n_workers,
             )
         if source_spectrum is not None:
             energies = source_spectrum.sample_energies(
@@ -298,28 +204,6 @@ class SlabTransport:
         result = TransportResult.from_tally(tally)
         assert result.balance_check(), "neutron balance violated"
         return result
-
-    def _batch_engine(self):
-        """Lazily built (and cached) vectorized engine for this slab."""
-        if self._batch is None:
-            from repro.transport.batch import BatchTransportEngine
-
-            self._batch = BatchTransportEngine(
-                self.geometry, bath_energy_ev=self.bath_energy_ev
-            )
-        return self._batch
-
-    def _deterministic_engine(self):
-        """Lazily built (and cached) multigroup solver for this slab."""
-        if self._deterministic is None:
-            from repro.transport.multigroup.solver import (
-                DeterministicTransportEngine,
-            )
-
-            self._deterministic = DeterministicTransportEngine(
-                self.geometry, bath_energy_ev=self.bath_energy_ev
-            )
-        return self._deterministic
 
     # ------------------------------------------------------------------
 

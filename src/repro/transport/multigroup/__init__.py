@@ -1,7 +1,7 @@
 """Deterministic energy-multigroup discrete-ordinates slab transport.
 
-The noise-free third engine behind
-``SlabTransport.run(engine="deterministic")``: group structures
+The noise-free third engine, run by the transport facade for
+``engine="deterministic"`` (:mod:`repro.transport.api`): group structures
 (:mod:`~repro.transport.multigroup.groups`), flux-weighted
 condensation of the continuous-energy cross sections
 (:mod:`~repro.transport.multigroup.condense`), and the S_N sweep

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro import serde
 from repro.obs import core as obs
+from repro.physics.constants import BOLTZMANN_EV_PER_K, ROOM_TEMPERATURE_K
 from repro.runtime.errors import (
     ConfigurationError,
     ConvergenceError,
@@ -206,6 +207,10 @@ class DeterministicTransportResult:
         """Zero: deterministic answers carry no statistical error."""
         return 0.0
 
+    def thermal_transmission_stderr(self) -> float:
+        """Zero: deterministic answers carry no statistical error."""
+        return 0.0
+
     def absorption_fraction(self) -> float:
         """Fraction absorbed anywhere in the stack."""
         return self.absorbed
@@ -228,7 +233,9 @@ class DeterministicTransportEngine:
 
     Args:
         geometry: the slab stack.
-        bath_energy_ev: thermal-bath energy (moderation floor).
+        bath_energy_ev: thermal-bath energy (moderation floor;
+            defaults to kT at room temperature, matching the MC
+            engines).
         structure: group structure; defaults to the fine
             band-aligned grid of :func:`fine_structure`.
         sn_order: Gauss-Legendre quadrature order (positive even —
@@ -242,7 +249,7 @@ class DeterministicTransportEngine:
     def __init__(
         self,
         geometry: SlabGeometry,
-        bath_energy_ev: float,
+        bath_energy_ev: float = BOLTZMANN_EV_PER_K * ROOM_TEMPERATURE_K,
         structure: Optional[GroupStructure] = None,
         sn_order: int = 8,
         tolerance: float = 1.0e-9,
@@ -430,9 +437,8 @@ class DeterministicTransportEngine:
         """Solve the slab for a normal-incidence beam source.
 
         Exactly one of ``source_energy_ev`` / ``source_spectrum``
-        must be given — the same contract as
-        :meth:`SlabTransport.run`, minus the history count (the
-        answer is per source neutron).
+        must be given — the same contract as the MC engines' ``run``,
+        minus the history count (the answer is per source neutron).
 
         Raises:
             repro.runtime.errors.ConvergenceError: if any group's

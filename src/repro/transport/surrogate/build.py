@@ -34,7 +34,6 @@ from repro.transport.materials import (
     WATER,
     Material,
 )
-from repro.transport.montecarlo import Layer, SlabGeometry, SlabTransport
 from repro.transport.surrogate.surface import (
     CHANNELS,
     FRACTION_CHANNELS,
@@ -100,7 +99,7 @@ class SurfaceSpec:
     """What one response surface covers.
 
     Exactly one of ``source_spectrum`` / ``source_energy_ev`` must be
-    set (mirroring ``SlabTransport.run``).
+    set (mirroring :class:`~repro.transport.api.TransportQuery`).
     """
 
     mode: str
@@ -171,17 +170,22 @@ def _solve(
     n_neutrons: int = 1,
     seed: int = 0,
 ):
-    """One engine run of the spec's physics at one thickness."""
-    geometry = SlabGeometry([Layer(spec.material, thickness_cm)])
-    transport = SlabTransport(
-        geometry, rng=np.random.default_rng(seed)
-    )
-    return transport.run(
-        n_neutrons,
-        source_energy_ev=spec.source_energy_ev,
+    """One live-engine answer to the spec's physics at one thickness."""
+    # Imported here: the facade imports the surrogate store, and this
+    # package's ``__init__`` imports this module.
+    from repro.transport.api import TransportQuery, answer
+
+    query = TransportQuery(
+        mode=spec.mode,
+        material=spec.material,
+        thickness_cm=thickness_cm,
         source_spectrum=spec.source_spectrum,
+        source_energy_ev=spec.source_energy_ev,
+        n_neutrons=n_neutrons,
+        seed=seed,
         engine=engine,
     )
+    return answer(query, store=None).result
 
 
 def _cert_seed(base_seed: int, surface_key: str, index: int) -> int:

@@ -199,6 +199,10 @@ class SurrogateTransportResult:
         """Certified bound on :meth:`thermal_albedo`."""
         return self.bounds.get("reflected_thermal", 0.0)
 
+    def thermal_transmission_stderr(self) -> float:
+        """Certified bound on :meth:`thermal_transmission_fraction`."""
+        return self.bounds.get("transmitted_thermal", 0.0)
+
     def absorption_fraction(self) -> float:
         """Fraction absorbed anywhere in the stack."""
         return self.absorbed

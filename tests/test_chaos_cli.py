@@ -11,6 +11,7 @@ from repro.chaos.cli import (
 )
 from repro.chaos.faultpoints import FAULT_POINTS
 from repro.cli import main
+from repro.runtime.errors import ConfigurationError
 
 
 class TestArguments:
@@ -103,3 +104,41 @@ def test_filters_are_repeatable(flag, tmp_path):
     else:
         args += ["--site", "checkpoint.load"]
     assert main(args) == 0
+
+
+class TestChaosParsingMirror:
+    """``coerce_policy``'s pattern applied to chaos --site/--action."""
+
+    def test_known_sites_pass(self):
+        from repro.chaos.cli import parse_sites
+        from repro.chaos.faultpoints import site_names
+
+        sites = list(site_names())[:2]
+        assert parse_sites(sites) == sites
+
+    def test_unknown_site_names_the_allowed_set(self):
+        from repro.chaos.cli import parse_sites
+
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_sites(["nope.nope"])
+        assert "nope.nope" in str(excinfo.value)
+        assert "allowed" in str(excinfo.value)
+
+    def test_unknown_action_rejected(self):
+        from repro.chaos.cli import parse_actions
+
+        with pytest.raises(ConfigurationError):
+            parse_actions(["meteor"])
+
+    def test_known_actions_pass(self):
+        from repro.chaos.cli import parse_actions
+        from repro.chaos.faultpoints import FAULT_POINTS
+
+        action = sorted(
+            {
+                a
+                for point in FAULT_POINTS.values()
+                for a in point.actions
+            }
+        )[0]
+        assert parse_actions([action]) == [action]

@@ -17,8 +17,8 @@ from repro.memory import DdrModule, ErrorCategory, FlipDirection
 from repro.transport.materials import WATER
 from repro.transport.montecarlo import (
     Layer,
+    ScalarTransportEngine,
     SlabGeometry,
-    SlabTransport,
 )
 
 
@@ -44,7 +44,7 @@ def test_slab_transport_default_rng_is_deterministic():
     geometry = SlabGeometry([Layer(WATER, 5.0)])
     tallies = []
     for _ in range(2):
-        transport = SlabTransport(geometry)
+        transport = ScalarTransportEngine(geometry)
         result = transport.run(400, source_energy_ev=1.0e6)
         tallies.append(
             (

@@ -24,8 +24,12 @@ from repro.transport.api import (
     set_default_store,
 )
 from repro.transport.materials import WATER
-from repro.transport.montecarlo import Engine
 from repro.transport.surrogate import SurrogateStore
+from repro.transport.surrogate.build import (
+    SurfaceSpec,
+    build_artifact,
+    log_grid,
+)
 from repro.transport.surrogate.surface import ABS_SERVE_FLOOR
 
 
@@ -67,9 +71,13 @@ def test_coerce_policy_normalises_every_spelling():
     for policy in ENGINE_POLICIES:
         assert coerce_policy(policy) == policy
         assert coerce_policy(policy.upper()) == policy
-    assert coerce_policy(Engine.BATCH) == "batch"
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as excinfo:
         coerce_policy("warp-drive")
+    # A ValueError (callers catching ValueError keep working) that
+    # names the allowed set.
+    assert isinstance(excinfo.value, ValueError)
+    for name in ("warp-drive",) + ENGINE_POLICIES:
+        assert name in str(excinfo.value)
 
 
 def test_cascade_for_never_upgrades_a_named_engine():
@@ -136,7 +144,7 @@ def test_query_rejects_bad_fields(overrides):
 
 def test_query_coerces_engine_spelling():
     assert _query(engine="BATCH").engine == "batch"
-    assert _query(engine=Engine.SCALAR).engine == "scalar"
+    assert _query(engine="Scalar").engine == "scalar"
 
 
 # -- serving and fallback ----------------------------------------------
@@ -214,6 +222,77 @@ def test_batch_transmission_bound_is_the_transmission_stderr():
     assert served.provenance.error_bound == pytest.approx(
         math.sqrt(p * (1.0 - p) / result.source)
     )
+
+
+@pytest.fixture(scope="module")
+def both_modes_store(tmp_path_factory):
+    """A store with a small transmission and a small albedo surface."""
+    root = tmp_path_factory.mktemp("both-modes")
+    specs = [
+        SurfaceSpec(
+            mode="transmission",
+            material=trials.CADMIUM,
+            thickness_cm=log_grid(0.025, 0.4, 3),
+            source_spectrum=trials.rotax_spectrum(),
+        ),
+        SurfaceSpec(
+            mode="albedo",
+            material=WATER,
+            thickness_cm=log_grid(2.0, 8.0, 3),
+            source_energy_ev=1.0e6,
+        ),
+    ]
+    store = SurrogateStore(root)
+    store.save(build_artifact("both-modes", specs, cert_histories=500))
+    return store
+
+
+@pytest.mark.parametrize("mode", ["transmission", "albedo"])
+@pytest.mark.parametrize("engine", ("surrogate",) + LIVE_CASCADE)
+def test_every_engine_and_mode_exposes_both_stderr_accessors(
+    both_modes_store, engine, mode
+):
+    albedo = dict(
+        material=WATER,
+        source_spectrum=None,
+        source_energy_ev=1.0e6,
+        thickness_cm=4.0,
+    )
+    served = answer(
+        _query(
+            mode=mode,
+            engine=engine,
+            accuracy=AccuracyTarget(rel_err=1.0, confidence=0.5),
+            **(albedo if mode == "albedo" else {}),
+        ),
+        store=both_modes_store if engine == "surrogate" else None,
+    )
+    assert served.provenance.engine == engine
+    result = served.result
+    stderrs = {
+        "transmission": result.thermal_transmission_stderr(),
+        "albedo": result.thermal_albedo_stderr(),
+    }
+    if engine == "surrogate":
+        assert stderrs == {
+            "transmission": result.bounds["transmitted_thermal"],
+            "albedo": result.bounds["reflected_thermal"],
+        }
+        return
+    if engine == "deterministic":
+        assert stderrs == {"transmission": 0.0, "albedo": 0.0}
+    else:
+        n = result.source
+        for key, count in (
+            ("transmission", result.transmitted_thermal),
+            ("albedo", result.reflected_thermal),
+        ):
+            p = count / n
+            assert stderrs[key] == pytest.approx(
+                math.sqrt(p * (1.0 - p) / n)
+            )
+    # A live answer's bound is its own mode's stderr.
+    assert served.provenance.error_bound == stderrs[mode]
 
 
 def test_named_engine_ignores_the_surrogate(surrogate_root):

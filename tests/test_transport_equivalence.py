@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 from repro.spectra.beamlines import rotax_spectrum
+from repro.transport.api import TransportQuery, answer
 from repro.transport.batch import BatchTransportEngine
 from repro.transport.materials import (
     AIR,
@@ -49,9 +50,10 @@ from repro.transport.materials import (
 )
 from repro.transport.montecarlo import (
     Layer,
+    ScalarTransportEngine,
     SlabGeometry,
-    SlabTransport,
 )
+from repro.transport.multigroup import DeterministicTransportEngine
 
 #: MC-vs-MC gate.  Reject at 4 sigma: with ~10 channels over ~7
 #: fixtures the chance of a false alarm is ~1e-3, and the seeds are
@@ -164,16 +166,19 @@ def _runs(layers, source):
     cached = _RUN_CACHE.get(key)
     if cached is None:
         geometry = SlabGeometry(layers)
+        # The batch seed is drawn from a generator the way the
+        # transport facade seeds the batch engine.
+        batch_seed = int(np.random.default_rng(202).integers(0, 2**63))
         cached = _RUN_CACHE[key] = {
-            "scalar": SlabTransport(
+            "scalar": ScalarTransportEngine(
                 geometry, rng=np.random.default_rng(101)
-            ).run(N_HISTORIES, engine="scalar", **source),
-            "batch": SlabTransport(
-                geometry, rng=np.random.default_rng(202)
-            ).run(N_HISTORIES, engine="batch", **source),
-            "deterministic": SlabTransport(geometry).run(
-                1, engine="deterministic", **source
+            ).run(N_HISTORIES, **source),
+            "batch": BatchTransportEngine(geometry).run(
+                N_HISTORIES, seed=batch_seed, **source
             ),
+            "deterministic": DeterministicTransportEngine(
+                geometry
+            ).run(**source),
         }
     return cached
 
@@ -345,9 +350,9 @@ class TestBrokenEngineCanary:
         monkeypatch.setattr(
             solver_module, "collapse", broken_collapse
         )
-        det = SlabTransport(
+        det = DeterministicTransportEngine(
             SlabGeometry([Layer(WATER, 5.0)])
-        ).run(1, source_energy_ev=1.0e6, engine="deterministic")
+        ).run(source_energy_ev=1.0e6)
         mc = _runs(
             [Layer(WATER, 5.0)], {"source_energy_ev": 1.0e6}
         )["batch"]
@@ -357,13 +362,16 @@ class TestBrokenEngineCanary:
 
 class TestBatchDeterminism:
     def test_same_seed_same_result(self):
-        geometry = SlabGeometry([Layer(WATER, 5.0)])
-        runs = [
-            SlabTransport(
-                geometry, rng=np.random.default_rng(33)
-            ).run(12_000, source_energy_ev=1.0e6)
-            for _ in range(2)
-        ]
+        query = TransportQuery(
+            mode="transmission",
+            material=WATER,
+            thickness_cm=5.0,
+            source_energy_ev=1.0e6,
+            n_neutrons=12_000,
+            seed=33,
+            engine="batch",
+        )
+        runs = [answer(query, store=None).result for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_same_seed_same_result_spectrum_source(self):
@@ -428,8 +436,12 @@ class TestBatchDeterminism:
                 SlabGeometry([Layer(WATER, 1.0)]), bath_energy_ev=0.0
             )
         with pytest.raises(ValueError):
-            SlabTransport(SlabGeometry([Layer(WATER, 1.0)])).run(
-                10, source_energy_ev=1.0, engine="warp"
+            TransportQuery(
+                mode="transmission",
+                material=WATER,
+                thickness_cm=1.0,
+                source_energy_ev=1.0,
+                engine="warp",
             )
 
 
@@ -458,42 +470,36 @@ class TestScalarHoistRegression:
         )
 
     def test_water_slab_golden(self):
-        transport = SlabTransport(
+        transport = ScalarTransportEngine(
             SlabGeometry([Layer(WATER, 5.0)]),
             rng=np.random.default_rng(123),
         )
-        result = transport.run(
-            2000, source_energy_ev=1.0e6, engine="scalar"
-        )
+        result = transport.run(2000, source_energy_ev=1.0e6)
         assert self._signature(result) == (
             2000, 203, 83, 0, 317, 1210, 0, 187, 31811,
             {"water": 187},
         )
 
     def test_layered_stack_golden(self):
-        transport = SlabTransport(
+        transport = ScalarTransportEngine(
             SlabGeometry(
                 [Layer(WATER, 2.0), Layer(CADMIUM, 0.1),
                  Layer(POLYETHYLENE, 3.0)]
             ),
             rng=np.random.default_rng(7),
         )
-        result = transport.run(
-            1500, source_energy_ev=1.0e6, engine="scalar"
-        )
+        result = transport.run(1500, source_energy_ev=1.0e6)
         assert self._signature(result) == (
             1500, 56, 36, 0, 97, 913, 0, 398, 16770,
             {"cadmium": 358, "polyethylene": 25, "water": 15},
         )
 
     def test_spectrum_source_golden(self):
-        transport = SlabTransport(
+        transport = ScalarTransportEngine(
             SlabGeometry([Layer(BORATED_POLYETHYLENE, 4.0)]),
             rng=np.random.default_rng(42),
         )
-        result = transport.run(
-            1500, source_spectrum=rotax_spectrum(), engine="scalar"
-        )
+        result = transport.run(1500, source_spectrum=rotax_spectrum())
         assert self._signature(result) == (
             1500, 0, 0, 0, 291, 0, 0, 1209, 3382,
             {"borated polyethylene": 1209},

@@ -1,6 +1,5 @@
 """Slab Monte Carlo: balance, moderation, albedo and shielding."""
 
-import numpy as np
 import pytest
 
 from repro.spectra.beamlines import rotax_spectrum
@@ -14,8 +13,8 @@ from repro.transport.materials import (
 )
 from repro.transport.montecarlo import (
     Layer,
+    ScalarTransportEngine,
     SlabGeometry,
-    SlabTransport,
 )
 
 
@@ -74,37 +73,33 @@ class TestGeometry:
             Layer(WATER, 0.0)
 
 
+def _fast_beam(material, thickness_cm, n_neutrons, seed):
+    """The batch engine's result for a 1 MeV beam on one slab."""
+    return _batch_result(
+        "transmission",
+        material,
+        thickness_cm,
+        source_energy_ev=1.0e6,
+        n_neutrons=n_neutrons,
+        seed=seed,
+    )
+
+
 class TestTransport:
     def test_balance_always_holds(self):
-        geo = SlabGeometry([Layer(WATER, 5.0)])
-        transport = SlabTransport(
-            geo, rng=np.random.default_rng(1)
-        )
-        result = transport.run(2000, source_energy_ev=1.0e6)
+        result = _fast_beam(WATER, 5.0, n_neutrons=2000, seed=1)
         assert result.balance_check()
 
     def test_air_transmits_everything(self):
-        geo = SlabGeometry([Layer(AIR, 10.0)])
-        transport = SlabTransport(
-            geo, rng=np.random.default_rng(2)
-        )
-        result = transport.run(1000, source_energy_ev=1.0e6)
+        result = _fast_beam(AIR, 10.0, n_neutrons=1000, seed=2)
         assert result.transmission_fraction() > 0.99
 
     def test_thick_water_stops_fast_beam(self):
-        geo = SlabGeometry([Layer(WATER, 50.0)])
-        transport = SlabTransport(
-            geo, rng=np.random.default_rng(3)
-        )
-        result = transport.run(1000, source_energy_ev=1.0e6)
+        result = _fast_beam(WATER, 50.0, n_neutrons=1000, seed=3)
         assert result.transmitted_fast == 0
 
     def test_water_thermalizes(self):
-        geo = SlabGeometry([Layer(WATER, 10.0)])
-        transport = SlabTransport(
-            geo, rng=np.random.default_rng(4)
-        )
-        result = transport.run(2000, source_energy_ev=1.0e6)
+        result = _fast_beam(WATER, 10.0, n_neutrons=2000, seed=4)
         thermal_out = (
             result.transmitted_thermal + result.reflected_thermal
         )
@@ -113,18 +108,19 @@ class TestTransport:
     def test_bath_floor_respected(self):
         # No neutron ends below the bath energy: leaking thermals are
         # still classified thermal (sanity of the energy floor).
-        geo = SlabGeometry([Layer(WATER, 3.0)])
-        transport = SlabTransport(
-            geo,
-            bath_temperature_k=293.6,
-            rng=np.random.default_rng(5),
+        result = _batch_result(
+            "transmission",
+            WATER,
+            3.0,
+            source_energy_ev=10.0,
+            n_neutrons=500,
+            seed=5,
         )
-        result = transport.run(500, source_energy_ev=10.0)
         assert result.balance_check()
 
     def test_requires_exactly_one_source(self):
         geo = SlabGeometry([Layer(WATER, 1.0)])
-        transport = SlabTransport(geo)
+        transport = ScalarTransportEngine(geo)
         with pytest.raises(ValueError):
             transport.run(10)
         with pytest.raises(ValueError):
@@ -137,15 +133,16 @@ class TestTransport:
     def test_rejects_bad_counts(self):
         geo = SlabGeometry([Layer(WATER, 1.0)])
         with pytest.raises(ValueError):
-            SlabTransport(geo).run(0, source_energy_ev=1.0)
+            ScalarTransportEngine(geo).run(0, source_energy_ev=1.0)
 
     def test_spectrum_source(self):
-        geo = SlabGeometry([Layer(CADMIUM, 0.1)])
-        transport = SlabTransport(
-            geo, rng=np.random.default_rng(6)
-        )
-        result = transport.run(
-            500, source_spectrum=rotax_spectrum()
+        result = _batch_result(
+            "transmission",
+            CADMIUM,
+            0.1,
+            source_spectrum=rotax_spectrum(),
+            n_neutrons=500,
+            seed=6,
         )
         assert result.balance_check()
         # Cadmium eats a thermal beam.
