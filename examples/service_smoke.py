@@ -3,10 +3,12 @@
 Boots ``python -m repro serve`` on an ephemeral port as a real child
 process, then exercises the acceptance shape from the service design:
 100 concurrent identical transmission queries (a thundering herd the
-coalescer and cache must collapse to one underlying computation) plus
-10 distinct queries, a ``/metrics`` scrape proving the single
-computation, and a SIGTERM graceful shutdown with the interrupted
-exit code (5), mirroring ``repro run``.
+coalescer and cache must collapse to one underlying computation),
+10 distinct ``fit``/``flux`` queries and 4 distinct live transmission
+queries, a ``/metrics`` scrape proving one cache miss and one cache
+write per distinct live transmission (the cache holds nothing else),
+and a SIGTERM graceful shutdown with the interrupted exit code (5),
+mirroring ``repro run``.
 
 This doubles as the CI ``service-smoke`` job driver and a worked
 example of the blocking client API.
@@ -38,6 +40,12 @@ DISTINCT_QUERIES = [
 ] + [
     ("fit", {"device": "K20", "site": "nyc", "room": True}),
     ("fit", {"device": "K20", "site": "leadville", "room": False}),
+]
+#: Live batch transmissions, each distinct from the herd's query: the
+#: cache's only other entries.
+DISTINCT_TRANSMISSIONS = [
+    {"shield": shield, "n_neutrons": 512, "seed": 7}
+    for shield in ("cadmium", "borated-poly", "water", "concrete")
 ]
 
 
@@ -125,6 +133,11 @@ def main() -> None:
                     # Only transport answers carry a provenance
                     # stamp (protocol v2).
                     assert response["provenance"] is None
+                for params in DISTINCT_TRANSMISSIONS:
+                    response = client.query("transmission", params)
+                    assert response["ok"], response
+                    assert response["cached"] is False, response
+                    assert response["provenance"]["engine"] == "batch"
                 stamped = client.query(
                     "transmission",
                     dict(IDENTICAL_PARAMS),
@@ -136,22 +149,28 @@ def main() -> None:
                 metrics = client.metrics()
             finally:
                 client.close()
+            distinct = len(DISTINCT_QUERIES) + len(DISTINCT_TRANSMISSIONS)
             print(
-                f"distinct: {len(DISTINCT_QUERIES)} queries answered,"
+                f"distinct: {distinct} queries answered,"
                 f" transport provenance from"
                 f" {provenance['engine']!r}"
             )
 
-            # One computation for the identical herd, one per
-            # distinct query; everything else — including the
-            # stamped replay of the herd's query — was coalesced
-            # into an in-flight computation or served from the
-            # cache.
+            # The cache holds live transmission answers only: one
+            # miss and one write for the identical herd and one per
+            # distinct transmission (fit/flux never touch it).
+            # Everything else the herd sent — including the stamped
+            # replay of its query — was coalesced into an in-flight
+            # computation or served from the cache.
             misses = _metric(
                 metrics, "repro_service_cache_misses_total"
             )
-            expected = 1 + len(DISTINCT_QUERIES)
+            expected = 1 + len(DISTINCT_TRANSMISSIONS)
             assert misses == expected, (misses, expected)
+            writes = _metric(
+                metrics, "repro_service_cache_writes_total"
+            )
+            assert writes == expected, (writes, expected)
             absorbed = _metric(
                 metrics, "repro_service_coalesced_total"
             ) + _metric(metrics, "repro_service_cache_hits_total")
@@ -159,11 +178,11 @@ def main() -> None:
             requests = _metric(
                 metrics, "repro_service_requests_total"
             )
-            assert requests == IDENTICAL_CLIENTS + 1 + len(
-                DISTINCT_QUERIES
-            ), requests
+            assert requests == IDENTICAL_CLIENTS + 1 + distinct, (
+                requests
+            )
             print(
-                f"metrics: {misses:.0f} computations,"
+                f"metrics: {misses:.0f} live computations,"
                 f" {absorbed:.0f} requests absorbed"
             )
 

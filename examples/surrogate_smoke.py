@@ -2,16 +2,20 @@
 
 Builds a small certified cadmium response surface with the real
 ``python -m repro surrogate build`` CLI, boots ``python -m repro
-serve --surrogate-root`` on an ephemeral port as a child process,
-and sweeps 100 distinct in-envelope transmission queries through the
-``engine="auto"`` policy.  The acceptance shape from the design:
+serve --surrogate-root --cache-dir`` on an ephemeral port as a child
+process, and sweeps 100 distinct in-envelope transmission queries
+through the ``engine="auto"`` policy.  The acceptance shape from the
+design:
 
 - at least 90% of the sweep is answered by the surrogate (each
   response's ``provenance.engine``), the rest by a live engine with
   honest provenance;
 - zero accuracy-contract violations: every surrogate answer agrees
   with a live deterministic run of the same query to within its own
-  certified ``error_bound``.
+  certified ``error_bound``;
+- the result cache holds live answers only: no surrogate-stamped
+  response is ``cached``, and ``/metrics`` counts exactly one cache
+  write per live-served query.
 
 This doubles as the CI ``surrogate-smoke`` job driver and a worked
 example of the protocol-v2 accuracy field.
@@ -54,13 +58,14 @@ def _build_artifact(root: str) -> None:
     )
 
 
-def _boot(root: str) -> "tuple[subprocess.Popen, int]":
+def _boot(root: str, cache_dir: str) -> "tuple[subprocess.Popen, int]":
     """Start the serve subcommand; return (process, bound port)."""
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--surrogate-root", root,
+            "--cache-dir", cache_dir,
         ],
         stdout=subprocess.PIPE,
         text=True,
@@ -110,23 +115,57 @@ def _sweep(client: ServiceClient) -> "tuple[int, list[dict]]":
                 "thickness_cm": thickness_cm,
                 "value": response["result"]["thermal_transmission"],
                 "stamp": stamp,
+                "cached": response["cached"],
             }
         )
     return hits, served
 
 
+def _metric(text: str, name: str) -> float:
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
+
+
+def _check_cache_policy(
+    client: ServiceClient, served: "list[dict]", live_checks: int
+) -> None:
+    """The cache holds live answers only, each written once."""
+    cached = [row for row in served if row["cached"]]
+    assert not any(
+        row["stamp"]["engine"] == "surrogate" for row in cached
+    ), cached
+    live = sum(
+        1
+        for row in served
+        if row["stamp"]["engine"] != "surrogate" and not row["cached"]
+    )
+    writes = _metric(client.metrics(), "repro_service_cache_writes_total")
+    assert writes == live + live_checks, (writes, live, live_checks)
+    print(
+        f"cache: {writes:.0f} writes for {live + live_checks}"
+        " live answers, 0 surrogate answers cached"
+    )
+
+
 def _contract_violations(
     client: ServiceClient, served: "list[dict]"
-) -> int:
-    """Cross-check surrogate answers against live deterministic."""
+) -> "tuple[int, int]":
+    """Cross-check surrogate answers against live deterministic.
+
+    Returns:
+        ``(violations, live queries sent)``.
+    """
     surrogate_served = [
         row
         for row in served
         if row["stamp"]["engine"] == "surrogate"
     ]
     stride = max(1, len(surrogate_served) // CONTRACT_CHECKS)
+    checked = surrogate_served[::stride]
     violations = 0
-    for row in surrogate_served[::stride]:
+    for row in checked:
         live = client.query(
             "transmission",
             {
@@ -136,6 +175,7 @@ def _contract_violations(
             },
         )
         assert live["provenance"]["engine"] == "deterministic"
+        assert live["cached"] is False, live
         gap = abs(
             live["result"]["thermal_transmission"] - row["value"]
         )
@@ -146,19 +186,23 @@ def _contract_violations(
                 f" gap {gap:.2e} > bound"
                 f" {row['stamp']['error_bound']:.2e}"
             )
-    return violations
+    return violations, len(checked)
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory() as root:
+    with tempfile.TemporaryDirectory() as root, \
+            tempfile.TemporaryDirectory() as cache_dir:
         _build_artifact(root)
         print(f"built certified surface under {root}")
-        proc, port = _boot(root)
+        proc, port = _boot(root, cache_dir)
         try:
             client = ServiceClient("127.0.0.1", port, timeout_s=60.0)
             try:
                 hits, served = _sweep(client)
-                violations = _contract_violations(client, served)
+                violations, live_checks = _contract_violations(
+                    client, served
+                )
+                _check_cache_policy(client, served, live_checks)
             finally:
                 client.close()
             hit_rate = hits / N_QUERIES

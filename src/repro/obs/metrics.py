@@ -65,10 +65,15 @@ METRICS: Dict[str, str] = {
     "repro_service_errors_total": (
         "FIT service structured errors returned"
     ),
-    "repro_service_cache_hits_total": "service result-cache hits",
-    "repro_service_cache_misses_total": "service result-cache misses",
+    "repro_service_cache_hits_total": (
+        "transmission queries served a cached live-engine answer"
+    ),
+    "repro_service_cache_misses_total": (
+        "transmission queries with no servable cache entry"
+        " (fit/cross-section/flux never consult the cache)"
+    ),
     "repro_service_cache_writes_total": (
-        "service result-cache entries durably written"
+        "clean live-engine transmission answers durably cached"
     ),
     "repro_service_cache_write_failures_total": (
         "service result-cache writes abandoned after retries"

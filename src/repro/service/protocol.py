@@ -59,6 +59,7 @@ __all__ = [
     "SERVICE_SITES",
     "SHIELDS",
     "ServiceError",
+    "decode_request",
     "encode_response",
     "error_body",
     "ok_body",
@@ -426,19 +427,15 @@ def _parse_accuracy(
     return float(rel_err), float(confidence)
 
 
-def parse_request(line: str, plans: Dict[str, dict]) -> Request:
-    """Parse and validate one request line.
+def decode_request(line: str) -> dict:
+    """Decode one request line into its JSON object.
 
-    Args:
-        line: one newline-delimited JSON request.
-        plans: named plan presets (from ``--plan-root``); a request
-            carrying ``"plan": name`` starts from that preset's
-            params (and kind), overridden by its own ``params``.
+    The server decodes each line once and hands the object to either
+    the study gateway or :func:`parse_request`.
 
     Raises:
-        ServiceError: ``bad-request`` for malformed JSON/fields, an
-            unsupported protocol version, or ``unknown-plan`` for an
-            undeclared plan name.
+        ServiceError: ``bad-request`` when the line is not JSON or
+            not a JSON object.
     """
     try:
         data = json.loads(line)
@@ -450,6 +447,23 @@ def parse_request(line: str, plans: Dict[str, dict]) -> Request:
         raise ServiceError(
             "bad-request", "request must be a JSON object"
         )
+    return data
+
+
+def parse_request(data: dict, plans: Dict[str, dict]) -> Request:
+    """Validate one decoded request object.
+
+    Args:
+        data: one request line as :func:`decode_request` returns it.
+        plans: named plan presets (from ``--plan-root``); a request
+            carrying ``"plan": name`` starts from that preset's
+            params (and kind), overridden by its own ``params``.
+
+    Raises:
+        ServiceError: ``bad-request`` for malformed fields or an
+            unsupported protocol version, or ``unknown-plan`` for an
+            undeclared plan name.
+    """
     request_id = str(data.get("id", ""))
     if not request_id:
         raise ServiceError(

@@ -7,6 +7,14 @@ envelope or a structured error with a code from
 :data:`~repro.service.protocol.ERROR_CODES` — and no client input or
 backend failure escapes as an unhandled exception.
 
+The durable cache holds only clean live-engine transmission answers
+(:func:`_cacheable`), each a transport run of tens of milliseconds.
+Every other answer is recomputed: ``fit``, ``cross-section`` and
+``flux`` answers and surrogate-served ones take well under a
+millisecond, less than the fsync'd write that would store them.  A
+surrogate answer must also not outlive its artifact, and the cache
+key (plan digest, seed) does not name the artifact.
+
 The same listening socket also answers plain ``GET /metrics`` (and
 ``/healthz``) HTTP requests: a connection whose first bytes look
 like an HTTP request line is served a Prometheus scrape instead of
@@ -29,11 +37,13 @@ from repro.service.compute import QueryExecutor
 from repro.service.protocol import (
     STUDY_KINDS,
     ServiceError,
+    decode_request,
     encode_response,
     error_body,
     ok_body,
     parse_request,
 )
+from repro.transport.api import LIVE_CASCADE
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only import
     from repro.studies.service import StudyGateway
@@ -41,15 +51,24 @@ if TYPE_CHECKING:  # pragma: no cover — annotation-only import
 __all__ = ["FitService"]
 
 
-def _peek_kind(line: str) -> Optional[str]:
-    """The request's ``kind`` when the line is a JSON object."""
-    try:
-        data = json.loads(line)
-    except ValueError:
-        return None
-    if isinstance(data, dict) and isinstance(data.get("kind"), str):
-        return data["kind"]
-    return None
+def _cacheable(result: object, degraded: bool) -> bool:
+    """Whether the durable cache may hold (and serve) ``result``.
+
+    Only a transmission answer from a live engine qualifies, and only
+    when neither the facade nor the executor degraded it: a degraded
+    answer is correct but second-choice, and caching it would pin the
+    degradation past recovery.  Checked on write and again on read,
+    so an entry of any other kind is a miss, never an answer.
+    """
+    provenance = (
+        result.get("provenance") if isinstance(result, dict) else None
+    )
+    return (
+        not degraded
+        and isinstance(provenance, dict)
+        and provenance.get("engine") in LIVE_CASCADE
+        and provenance.get("degraded") is False
+    )
 
 
 class FitService:
@@ -108,10 +127,14 @@ class FitService:
 
     async def handle_line(self, line: str) -> str:
         """Answer one NDJSON request line with one response line."""
-        if _peek_kind(line) in STUDY_KINDS:
-            return await self._handle_study(line)
         try:
-            request = parse_request(line, self.plans)
+            data = decode_request(line)
+        except ServiceError as exc:
+            return self._error_line(exc.request_id, exc)
+        if data.get("kind") in STUDY_KINDS:
+            return await self._handle_study(data)
+        try:
+            request = parse_request(data, self.plans)
         except ServiceError as exc:
             return self._error_line(exc.request_id, exc)
         if self._closing:
@@ -169,14 +192,13 @@ class FitService:
                 )
         return self._ok_line(request.request_id, envelope)
 
-    async def _handle_study(self, line: str) -> str:
-        """Answer one study verb (submit / status / cancel).
+    async def _handle_study(self, data: dict) -> str:
+        """Answer one decoded study verb (submit / status / cancel).
 
         Study verbs bypass query parsing and admission: they are
         control-plane operations whose heavy lifting runs on the
         gateway's background thread, not on the event loop.
         """
-        data = json.loads(line)
         request_id = str(data.get("id", ""))
         if not request_id:
             return self._error_line(
@@ -236,30 +258,27 @@ class FitService:
         """Produce the success envelope for an admitted request."""
         query = request.query
         key = query.cache_key()
+        # Only transmission queries can produce a cacheable answer.
+        cache = self.cache if query.kind == "transmission" else None
 
         def job() -> dict:
-            if self.cache is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
+            if cache is not None:
+                cached = cache.get(key)
+                if _cacheable(cached, degraded=False):
                     obs.inc("repro_service_cache_hits_total")
                     return {
                         "result": cached,
                         "cached": True,
                         "degraded": False,
                         "degraded_reason": "",
-                        "provenance": (
-                            cached.get("provenance")
-                            if isinstance(cached, dict)
-                            else None
-                        ),
+                        "provenance": cached["provenance"],
                     }
                 obs.inc("repro_service_cache_misses_total")
             outcome = self.executor.execute(query)
-            # Degraded answers (engine fallback, worker recompute)
-            # are correct but second-choice; caching them would pin
-            # the degradation past recovery.
-            if self.cache is not None and not outcome.degraded:
-                self.cache.put(key, query, outcome.result)
+            if cache is not None and _cacheable(
+                outcome.result, outcome.degraded
+            ):
+                cache.put(key, query, outcome.result)
             return {
                 "result": outcome.result,
                 "cached": False,

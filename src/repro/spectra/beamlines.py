@@ -11,11 +11,18 @@
 Both are returned as :class:`~repro.spectra.spectrum.Spectrum` objects
 on the default grid, so ``lethargy_density()`` reproduces the paper's
 Figure 2 and the band integrals reproduce the quoted fluxes.
+
+A beamline spectrum is a calibrated constant, not a per-call input,
+and integrating it takes milliseconds.  Each builder therefore makes
+its default-grid spectrum once per process and returns that one
+immutable instance on every later call; a call with explicit
+``edges`` builds a fresh spectrum.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Callable, Sequence
 
 from repro.spectra.analytic import atmospheric_spectrum, maxwellian_spectrum
 from repro.spectra.spectrum import Spectrum
@@ -35,6 +42,20 @@ ROTAX_THERMAL_FLUX: float = 2.72e6
 ROTAX_MODERATOR_TEMPERATURE_K: float = 110.0
 
 
+def _built_once_on_default_grid(
+    build: Callable[[Sequence[float] | None], Spectrum],
+) -> Callable[[Sequence[float] | None], Spectrum]:
+    """Share ``build``'s default-grid spectrum between callers."""
+    default = functools.lru_cache(maxsize=1)(lambda: build(None))
+
+    @functools.wraps(build)
+    def beamline(edges: Sequence[float] | None = None) -> Spectrum:
+        return default() if edges is None else build(edges)
+
+    return beamline
+
+
+@_built_once_on_default_grid
 def chipir_spectrum(edges: Sequence[float] | None = None) -> Spectrum:
     """The ChipIR spectrum: atmospheric-like + small thermal component."""
     spec = atmospheric_spectrum(
@@ -46,6 +67,7 @@ def chipir_spectrum(edges: Sequence[float] | None = None) -> Spectrum:
     return spec
 
 
+@_built_once_on_default_grid
 def rotax_spectrum(edges: Sequence[float] | None = None) -> Spectrum:
     """The ROTAX spectrum: liquid-methane-moderated Maxwellian."""
     return maxwellian_spectrum(

@@ -52,6 +52,12 @@ def default_energy_grid(
 class Spectrum:
     """An immutable group-wise neutron flux spectrum.
 
+    The arrays are read-only and the attributes cannot be rebound, so
+    one instance may be shared by every caller (the beamline builders
+    hand out one per process).  ``name`` is part of a spectrum's
+    surrogate source key, which makes renaming a shared instance as
+    harmful as editing its fluxes.
+
     Attributes:
         edges: group boundaries, eV, strictly increasing.
         group_flux: per-group integral flux, n/cm^2/s, non-negative.
@@ -79,11 +85,26 @@ class Spectrum:
             )
         if np.any(flux_arr < 0.0):
             raise ValueError("group fluxes must be non-negative")
-        self.edges = edges_arr
-        self.edges.setflags(write=False)
-        self.group_flux = flux_arr
-        self.group_flux.setflags(write=False)
-        self.name = name
+        edges_arr.setflags(write=False)
+        flux_arr.setflags(write=False)
+        self._edges = edges_arr
+        self._group_flux = flux_arr
+        self._name = name
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Group boundaries, eV (read-only)."""
+        return self._edges
+
+    @property
+    def group_flux(self) -> np.ndarray:
+        """Per-group integral flux, n/cm^2/s (read-only)."""
+        return self._group_flux
+
+    @property
+    def name(self) -> str:
+        """Human-readable label (read-only)."""
+        return self._name
 
     # ------------------------------------------------------------------
     # Constructors

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.chaos import trials
 from repro.durable import QUARANTINE_SUFFIX, payload_checksum
 from repro.obs import core as obs
 from repro.obs.metrics import MetricsRegistry
@@ -22,7 +23,12 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.cli import load_plans
-from repro.service.protocol import MAX_N_NEUTRONS, parse_request
+from repro.service.protocol import (
+    MAX_N_NEUTRONS,
+    decode_request,
+    parse_request,
+)
+from repro.transport import api as transport_api
 
 
 def _no_sleep(_delay_s: float) -> None:
@@ -56,11 +62,16 @@ def _answer(service: FitService, line: str) -> dict:
     return json.loads(asyncio.run(service.handle_line(line)))
 
 
+def _parse(line: str, plans: dict):
+    """Decode and validate one line, as the server does."""
+    return parse_request(decode_request(line), plans)
+
+
 # -- protocol ----------------------------------------------------------
 
 
 def test_parse_request_roundtrip():
-    request = parse_request(
+    request = _parse(
         _line(params={"site": "leadville", "room": True}), {}
     )
     assert request.request_id == "q1"
@@ -101,8 +112,35 @@ def test_parse_request_roundtrip():
 )
 def test_parse_request_rejects(line, code):
     with pytest.raises(ServiceError) as excinfo:
-        parse_request(line, {})
+        _parse(line, {})
     assert excinfo.value.code == code
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (
+            "not json",
+            "request is not valid JSON: Expecting value: line 1"
+            " column 1 (char 0)",
+        ),
+        ("[]", "request must be a JSON object"),
+        (
+            json.dumps({"kind": "flux"}),
+            "request must carry a non-empty string 'id'",
+        ),
+        (
+            json.dumps({"kind": "study-status"}),
+            "request must carry a non-empty string 'id'",
+        ),
+    ],
+)
+def test_malformed_lines_are_answered_on_the_wire(line, message):
+    # The server decodes each line once, for the query path and the
+    # study path alike; the framing errors read as they always have.
+    body = _answer(_service(), line)
+    assert body["ok"] is False
+    assert body["error"] == {"code": "bad-request", "message": message}
 
 
 def test_load_plans_reads_json_and_skips_unparsable(tmp_path, capsys):
@@ -123,7 +161,7 @@ def test_plan_presets_merge_with_request_params():
             "params": {"site": "lanl", "rain": True},
         }
     }
-    request = parse_request(
+    request = _parse(
         _line(plan="night", params={"rain": False}), plans
     )
     assert request.query.site == "lanl"
@@ -154,12 +192,21 @@ def test_invalid_error_code_is_rejected():
 # -- durable cache -----------------------------------------------------
 
 
+#: A live batch transmission query: the only kind of answer the
+#: durable cache holds.
+_LIVE_PARAMS = {"shield": "water", "n_neutrons": 256}
+
+
+def _live_line(**params) -> str:
+    return _line(kind="transmission", params={**_LIVE_PARAMS, **params})
+
+
 def _cached_entry(tmp_path):
-    """A service with one durably cached flux result."""
+    """A service with one durably cached live transmission result."""
     service = _service(cache_dir=tmp_path / "cache")
-    first = _answer(service, _line())
+    first = _answer(service, _live_line())
     assert first["ok"] and not first["cached"]
-    key = Query.from_params("flux", {"site": "nyc"}).cache_key()
+    key = Query.from_params("transmission", _LIVE_PARAMS).cache_key()
     path = service.cache.entry_path(key)
     assert path.exists()
     return service, key, path
@@ -167,9 +214,9 @@ def _cached_entry(tmp_path):
 
 def test_cache_hit_serves_identical_payload(tmp_path):
     service, _key, _path = _cached_entry(tmp_path)
-    hit = _answer(service, _line())
+    hit = _answer(service, _live_line())
     assert hit["cached"] is True
-    miss_again = _answer(service, _line(params={"site": "isis"}))
+    miss_again = _answer(service, _live_line(seed=1))
     assert miss_again["cached"] is False
 
 
@@ -181,7 +228,7 @@ def test_corrupt_cache_entries_quarantined_and_recomputed(
     tmp_path, corrupt
 ):
     service, key, path = _cached_entry(tmp_path)
-    clean = _answer(service, _line())
+    clean = _answer(service, _live_line())
     raw = path.read_text()
     if corrupt == "truncate":
         path.write_text(raw[: len(raw) // 2])
@@ -190,7 +237,7 @@ def test_corrupt_cache_entries_quarantined_and_recomputed(
         path.write_text(flipped)
     elif corrupt == "wrong-checksum":
         data = json.loads(raw)
-        data["result"]["fast_flux_per_h"] = 1.0e9
+        data["result"]["thermal_transmission"] = 0.5
         path.write_text(json.dumps(data, indent=2, sort_keys=True))
     else:  # wrong-key
         data = json.loads(raw)
@@ -202,7 +249,7 @@ def test_corrupt_cache_entries_quarantined_and_recomputed(
     registry = MetricsRegistry()
     with obs.observing(obs.Observer(registry=registry)):
         assert service.cache.get(key) is None
-        recomputed = _answer(service, _line())
+        recomputed = _answer(service, _live_line())
     quarantined = path.with_name(path.name + QUARANTINE_SUFFIX)
     assert quarantined.exists()
     assert (
@@ -214,6 +261,98 @@ def test_corrupt_cache_entries_quarantined_and_recomputed(
     assert recomputed["cached"] is False
     assert recomputed["result"] == clean["result"]
     assert service.cache.get(key) == clean["result"]
+
+
+def _auto_cadmium_line() -> str:
+    """An in-envelope query a configured surrogate store answers."""
+    return _line(
+        kind="transmission",
+        params={
+            "shield": "cadmium",
+            "thickness_cm": trials.SURROGATE_THICKNESS_CM,
+            "n_neutrons": 256,
+            "engine": "auto",
+        },
+    )
+
+
+def test_surrogate_answers_are_not_cached_across_a_restart(tmp_path):
+    # A surrogate answer's cache key does not name its artifact, so a
+    # cached copy would outlive the artifact: a server restarted
+    # without the store would still claim the surrogate served it.
+    trials.make_surrogate_root(tmp_path / "surrogates")
+    before = transport_api.default_store()
+    try:
+        transport_api.configure(str(tmp_path / "surrogates"))
+        served = _answer(
+            _service(cache_dir=tmp_path / "cache"), _auto_cadmium_line()
+        )
+        # Restart on the same cache directory, without the artifact.
+        transport_api.set_default_store(None)
+        restarted = _service(cache_dir=tmp_path / "cache")
+        live = _answer(restarted, _auto_cadmium_line())
+        again = _answer(restarted, _auto_cadmium_line())
+    finally:
+        transport_api.set_default_store(before)
+    assert served["provenance"]["engine"] == "surrogate"
+    assert served["cached"] is False
+    assert live["provenance"]["engine"] == "batch"
+    assert live["cached"] is False
+    # The live answer is the one the cache keeps.
+    assert again["cached"] is True
+    assert again["result"] == live["result"]
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        {"engine": "surrogate", "artifact_digest": "f" * 64},
+        {"degraded": True, "reason": "breaker-open"},
+    ],
+)
+def test_planted_non_live_entries_are_misses(tmp_path, stamp):
+    service, key, _path = _cached_entry(tmp_path)
+    clean = _answer(service, _live_line())
+    assert clean["cached"] is True
+    planted = json.loads(json.dumps(clean["result"]))
+    planted["provenance"].update(stamp)
+    planted["thermal_transmission"] = 0.5
+    query = Query.from_params("transmission", _LIVE_PARAMS)
+    assert service.cache.put(key, query, planted)
+    registry = MetricsRegistry()
+    with obs.observing(obs.Observer(registry=registry)):
+        recomputed = _answer(service, _live_line())
+    assert recomputed["cached"] is False
+    assert recomputed["result"] == clean["result"]
+    assert registry.counter("repro_service_cache_hits_total") == 0
+    assert registry.counter("repro_service_cache_misses_total") == 1
+    # The recomputed live answer replaced the planted entry.
+    assert service.cache.get(key) == clean["result"]
+
+
+def test_fit_and_flux_queries_skip_the_cache(tmp_path, monkeypatch):
+    service = _service(cache_dir=tmp_path / "cache")
+
+    def untouchable(*_args):
+        raise AssertionError("the cache was consulted")
+
+    monkeypatch.setattr(service.cache, "get", untouchable)
+    monkeypatch.setattr(service.cache, "put", untouchable)
+    registry = MetricsRegistry()
+    with obs.observing(obs.Observer(registry=registry)):
+        for kind, params in (
+            ("flux", {"site": "nyc"}),
+            ("fit", {"device": "K20", "site": "nyc", "room": True}),
+        ):
+            for _ in range(2):
+                body = _answer(service, _line(kind=kind, params=params))
+                assert body["ok"], body
+                assert body["cached"] is False
+    for counter in ("hits", "misses", "writes"):
+        assert (
+            registry.counter(f"repro_service_cache_{counter}_total") == 0
+        )
+    assert not list(service.cache.root.rglob("*.json"))
 
 
 def test_stale_tmp_swept_on_init(tmp_path):

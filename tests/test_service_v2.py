@@ -15,7 +15,11 @@ from repro.service import (
     QueryExecutor,
     ServiceError,
 )
-from repro.service.protocol import PROTOCOL_VERSIONS, parse_request
+from repro.service.protocol import (
+    PROTOCOL_VERSIONS,
+    decode_request,
+    parse_request,
+)
 from repro.transport import api as transport_api
 
 
@@ -44,20 +48,25 @@ def _answer(service: FitService, line: str) -> dict:
     return json.loads(asyncio.run(service.handle_line(line)))
 
 
+def _parse(line: str, plans: dict):
+    """Decode and validate one line, as the server does."""
+    return parse_request(decode_request(line), plans)
+
+
 # -- version negotiation -----------------------------------------------
 
 
 def test_v1_and_v2_requests_are_both_accepted():
     assert PROTOCOL_VERSIONS == (1, 2)
     for extra in ({}, {"v": 1}, {"v": 2}):
-        request = parse_request(_line(**extra), {})
+        request = _parse(_line(**extra), {})
         assert request.query.kind == "flux"
 
 
 @pytest.mark.parametrize("version", [3, 0, -1, True, "2", 1.0])
 def test_future_and_malformed_versions_get_structured_errors(version):
     with pytest.raises(ServiceError) as excinfo:
-        parse_request(_line(v=version), {})
+        _parse(_line(v=version), {})
     assert excinfo.value.code == "bad-request"
     assert "unsupported protocol version" in excinfo.value.message
     assert excinfo.value.request_id == "q1"
@@ -67,7 +76,7 @@ def test_future_and_malformed_versions_get_structured_errors(version):
 
 
 def test_accuracy_applies_to_transmission_queries():
-    request = parse_request(
+    request = _parse(
         _line(
             kind="transmission",
             params={"shield": "cadmium"},
@@ -81,7 +90,7 @@ def test_accuracy_applies_to_transmission_queries():
 
 
 def test_accuracy_defaults_when_omitted():
-    request = parse_request(
+    request = _parse(
         _line(kind="transmission", params={"shield": "cadmium"}), {}
     )
     assert request.query.rel_err == pytest.approx(0.05)
@@ -89,7 +98,7 @@ def test_accuracy_defaults_when_omitted():
 
 
 def test_accuracy_is_inert_for_non_transmission_kinds():
-    request = parse_request(
+    request = _parse(
         _line(accuracy={"rel_err": 0.01, "confidence": 0.99}), {}
     )
     # Flux queries have no headline bound to negotiate; the field
@@ -113,7 +122,7 @@ def test_accuracy_is_inert_for_non_transmission_kinds():
 )
 def test_malformed_accuracy_is_a_bad_request(accuracy):
     with pytest.raises(ServiceError) as excinfo:
-        parse_request(
+        _parse(
             _line(
                 kind="transmission",
                 params={"shield": "cadmium"},

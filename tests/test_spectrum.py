@@ -39,6 +39,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             flat_spectrum.group_flux[0] = 5.0
 
+    def test_attributes_cannot_be_rebound(self, flat_spectrum):
+        # The name is part of the surrogate source key, so renaming a
+        # shared instance would silently change every later lookup.
+        with pytest.raises(AttributeError):
+            flat_spectrum.name = "renamed"
+        with pytest.raises(AttributeError):
+            flat_spectrum.group_flux = np.zeros(flat_spectrum.n_groups)
+        with pytest.raises(AttributeError):
+            flat_spectrum.edges = flat_spectrum.edges * 2.0
+        assert flat_spectrum.name == "flat"
+
     def test_default_grid_resolution(self):
         grid = default_energy_grid(1.0, 1.0e3, groups_per_decade=10)
         assert grid.size == 31

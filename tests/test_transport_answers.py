@@ -5,7 +5,10 @@ stood before the facade became the only live-engine dispatcher: the
 facade's answers for every live engine on two queries, a detector
 unfolding response matrix, and the chaos trials' surrogate artifact
 digest.  Any refactor of the engine plumbing must reproduce every
-number exactly.
+number exactly.  The surrogate source keys of the two beamline
+spectra were added to it by the code as it stood before those
+spectra were built once per process, so the shared instances must
+match a fresh build bit for bit.
 
 Regenerate only on purpose (a physics or sampling change), with::
 
@@ -22,9 +25,10 @@ from pathlib import Path
 
 from repro.chaos.trials import make_surrogate_root
 from repro.detector.unfolding import response_matrix
-from repro.spectra.beamlines import rotax_spectrum
+from repro.spectra.beamlines import chipir_spectrum, rotax_spectrum
 from repro.transport.api import LIVE_CASCADE, TransportQuery, answer
 from repro.transport.materials import CADMIUM, WATER
+from repro.transport.surrogate.surface import spectrum_source_key
 
 FIXTURE = Path(__file__).parent / "data" / "transport-answers.json"
 
@@ -75,6 +79,10 @@ def compute() -> dict:
             [0.0, 2.5, 5.0], n_neutrons=500
         ).tolist(),
         "surrogate_digest": digest,
+        "spectrum_source_keys": {
+            "chipir": spectrum_source_key(chipir_spectrum()),
+            "rotax": spectrum_source_key(rotax_spectrum()),
+        },
     }
 
 
@@ -87,6 +95,21 @@ def test_answers_match_the_fixture_exactly():
         assert actual["answers"][key] == pinned, key
     assert actual["response_matrix"] == expected["response_matrix"]
     assert actual["surrogate_digest"] == expected["surrogate_digest"]
+    assert (
+        actual["spectrum_source_keys"] == expected["spectrum_source_keys"]
+    )
+
+
+def test_beamline_spectra_are_built_once_on_the_default_grid():
+    assert rotax_spectrum() is rotax_spectrum()
+    assert chipir_spectrum() is chipir_spectrum()
+    grid = rotax_spectrum().edges
+    fresh = rotax_spectrum(edges=grid)
+    assert fresh is not rotax_spectrum()
+    assert chipir_spectrum(edges=grid) is not chipir_spectrum()
+    assert spectrum_source_key(fresh) == spectrum_source_key(
+        rotax_spectrum()
+    )
 
 
 if __name__ == "__main__":
