@@ -69,10 +69,17 @@ ENGINE_POLICIES = (
     "scalar",
 )
 
-#: The shared live-engine downgrade order: the noise-free multigroup
-#: solver is ~11x cheaper than batch MC, the scalar oracle is the
+#: The shared live-engine downgrade order: batch MC, then the
+#: noise-free multigroup solver, then the scalar oracle as the
 #: always-works floor.  Studies and the service both cascade through
-#: this exact sequence (fixing the old batch->scalar shortcut).
+#: this exact sequence (fixing the old batch->scalar shortcut).  The
+#: order is one of preference, not of cost: a deterministic solve is
+#: not always cheaper than the batch run it stands in for.  Under the
+#: ROTAX source on a 2-vCPU host it cost 0.4-0.8 of a 20 000-history
+#: batch run on the study's water (10 cm) and concrete (30 cm)
+#: shields but 1.0-2.0 times a 4096-history one, and 7-150 times a
+#: batch run of either size on cadmium (0.1 cm) and borated
+#: polyethylene (5 cm).
 LIVE_CASCADE = ("batch", "deterministic", "scalar")
 
 
@@ -115,8 +122,11 @@ def pick_live_engine(
         requested: engine policy of the query.
         blocked: live engines currently unavailable (open breakers).
         budget_pressure: the caller is behind budget — skip the
-            requested engine in favour of a cheaper one when there is
-            a fallback to take.
+            requested engine for the next one in the cascade when
+            there is a fallback to take.  That saves time only where
+            the fallback is the cheaper engine for the query, which
+            the cascade order does not promise (see
+            :data:`LIVE_CASCADE`).
 
     Returns:
         ``(engine, reason)`` — ``reason`` is ``""`` when the pick is
@@ -395,7 +405,8 @@ def answer(
             process-wide store from :func:`configure`; pass ``None``
             to force live engines).
         blocked: live engines currently unavailable (open breakers).
-        budget_pressure: ask the cascade for a cheaper engine.
+        budget_pressure: skip the requested engine for the next one
+            in the cascade (see :func:`pick_live_engine`).
 
     Returns:
         A :class:`TransportAnswer`; ``provenance.degraded`` is set

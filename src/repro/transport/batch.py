@@ -2,21 +2,54 @@
 
 The scalar engine in :mod:`repro.transport.montecarlo` follows one
 neutron at a time; this module carries **all alive neutrons as NumPy
-arrays** (position, direction cosine, energy) and advances them
-collision-step by collision-step with masked array operations.  The
-physics is identical — same flight-length law, same surface-crossing
-treatment, same 1/v absorption, same single-variate isotope pick and
-elastic kinematics — so the two engines are statistically equivalent
-channel by channel (enforced by ``tests/test_transport_equivalence.py``).
+arrays** (position, direction cosine, energy, seed stream) and
+advances them one collision round at a time.  The physics is
+identical — same flight-length law, same surface-crossing treatment,
+same 1/v absorption, same single-variate isotope pick and elastic
+kinematics — so the two engines are statistically equivalent channel
+by channel (enforced by ``tests/test_transport_equivalence.py``).
+
+One collision round
+-------------------
+
+1. Every alive neutron gets five uniforms: flight length,
+   absorption, isotope, outgoing energy, outgoing direction.
+2. It flies an exponential distance through its layer's total cross
+   section.  A flight that would leave the layer stops just past the
+   boundary instead.  At an outer face the neutron leaks and is
+   tallied by face and energy band; at an inner one it flies again
+   next round.  A layer with no cross section sends it straight to
+   the nearest face.
+3. Any other neutron collides.  It is absorbed with probability
+   ``sigma_a / sigma_t``; otherwise it scatters off the isotope that
+   the third uniform picks and takes its new energy and direction
+   from the fourth and fifth.
+4. Leaked and absorbed neutrons are dropped from the arrays by an
+   order-preserving ``take``.
+
+A round makes few full-width passes.  Dead neutrons go by index (one
+``flatnonzero``, then ``take``), the kinematics run on the scattering
+neutrons only, each isotope's ``alpha`` is tabulated once, and a
+one-layer stack (every facade query) skips the per-neutron layer
+lookup.  Each of these rewrites keeps the floating-point operations
+of the plain form, so tallies stay bit-identical to it;
+``tests/data/transport-answers.json`` pins them.
 
 Determinism contract
 --------------------
 
 Histories are partitioned into fixed-size **seed streams** of
 :data:`HISTORIES_PER_STREAM` histories.  The run's root
-``SeedSequence`` spawns one child per stream, each stream draws its
-source energies and all of its collision randomness from its own
-generator, and streams never share draws.  Consequences:
+``SeedSequence`` spawns one child per stream.  Each stream's
+generator makes exactly these draws and no others:
+
+* one ``Spectrum.sample_energies(rng, size)`` call for its source
+  energies (monoenergetic sources draw nothing);
+* one ``rng.random((5, c))`` per round, where ``c`` is the number of
+  its neutrons still alive, taken in stream order, column ``j`` going
+  to its ``j``-th alive neutron.
+
+Streams never share draws.  Consequences:
 
 * same seed → same tallies, bit for bit;
 * tallies are independent of ``batch_size`` (which only sets how many
@@ -62,6 +95,24 @@ DEFAULT_BATCH_SIZE = 32768
 #: Nudge past a crossed boundary, matching the scalar engine.
 _BOUNDARY_EPS_CM = 1.0e-9
 
+#: Leak-tally band edges: below the first is thermal, at or above the
+#: second is fast.
+_BAND_EDGES_EV = np.array([THERMAL_CUTOFF_EV, FAST_CUTOFF_EV])
+
+
+def _elastic_alpha(mass_numbers) -> np.ndarray:
+    """``alpha = ((A - 1) / (A + 1))^2``, the smallest fraction of its
+    energy a neutron keeps after an elastic collision with mass ``A``."""
+    a = np.asarray(mass_numbers, dtype=float)
+    return ((a - 1.0) / (a + 1.0)) ** 2
+
+
+def _downscatter(energies_ev, alpha, u, bath_energy_ev):
+    """Outgoing energy uniform on ``[alpha E, E]``, floored at the bath."""
+    return np.maximum(
+        energies_ev * (alpha + (1.0 - alpha) * u), bath_energy_ev
+    )
+
 
 def scattered_energies_ev(
     energies_ev: np.ndarray,
@@ -83,12 +134,12 @@ def scattered_energies_ev(
         u: uniform variates in [0, 1).
         bath_energy_ev: thermal-bath floor, eV.
     """
-    a = np.asarray(mass_numbers, dtype=float)
-    alpha = ((a - 1.0) / (a + 1.0)) ** 2
-    out = np.asarray(energies_ev, dtype=float) * (
-        alpha + (1.0 - alpha) * np.asarray(u, dtype=float)
+    return _downscatter(
+        np.asarray(energies_ev, dtype=float),
+        _elastic_alpha(mass_numbers),
+        np.asarray(u, dtype=float),
+        bath_energy_ev,
     )
-    return np.maximum(out, bath_energy_ev)
 
 
 @dataclass(frozen=True)
@@ -96,32 +147,37 @@ class _ScatterTable:
     """Per-material tables replicating ``Material.dominant_scatter_mass``.
 
     The scalar method turns a single uniform ``u`` into an element
-    pick (by cumulative scatter weight) and an isotope pick (by
-    cumulative abundance on ``frac = (997 u) mod 1``).  The tables
-    below make both picks a ``searchsorted``/``argmax`` over arrays,
-    padded so the scalar "fall back to the last isotope" branch is a
-    padding column rather than a Python loop.
+    pick (the first element whose cumulative scatter weight exceeds
+    ``u * total``) and an isotope pick within it (the first isotope
+    whose cumulative abundance exceeds ``frac = (997 u) mod 1``),
+    falling back to the last element or isotope.  Over non-decreasing
+    thresholds the first index that exceeds a value is the count of
+    thresholds at or below it, so each pick is such a count over every
+    threshold but the last, which yields the fallback.  Isotopes are
+    numbered flat across the material's elements.
     """
 
-    elem_cum_weight: np.ndarray  # (n_elem,) cumulative scatter weights
+    elem_cum_weight: np.ndarray  # (n_elem - 1,) cumulative weights
     total_weight: float
-    iso_cum_2d: np.ndarray  # (n_elem, pad) cumulative abundance, +inf pad
-    iso_mass_2d: np.ndarray  # (n_elem, pad) mass numbers, last-iso pad
+    first_isotope: np.ndarray  # (n_elem,) flat number of element's first
+    # Column j: (n_elem,) cumulative abundance through isotope j, +inf
+    # where the element has no isotope after j.
+    iso_cum: Tuple[np.ndarray, ...]
+    mass_numbers: np.ndarray  # (n_iso,) by flat isotope number
+    alpha: np.ndarray  # (n_iso,) elastic alpha by flat isotope number
 
-    def sample_mass_numbers(self, u: np.ndarray) -> np.ndarray:
-        """Struck mass numbers for uniform variates ``u``."""
-        n_elem = self.elem_cum_weight.size
-        elem_idx = np.minimum(
-            np.searchsorted(
-                self.elem_cum_weight, u * self.total_weight, side="right"
-            ),
-            n_elem - 1,
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """Flat numbers of the isotopes struck for uniform variates ``u``."""
+        frac = u * 997.0
+        # Exact for frac >= 0, so the same bits as ``frac % 1.0``.
+        frac -= np.floor(frac)
+        elem = np.searchsorted(
+            self.elem_cum_weight, u * self.total_weight, side="right"
         )
-        frac = (u * 997.0) % 1.0
-        iso_idx = np.argmax(
-            self.iso_cum_2d[elem_idx] > frac[:, None], axis=1
-        )
-        return self.iso_mass_2d[elem_idx, iso_idx]
+        iso = self.first_isotope.take(elem)
+        for cum in self.iso_cum:
+            iso += frac >= cum.take(elem)
+        return iso
 
 
 @dataclass(frozen=True)
@@ -138,28 +194,27 @@ class _GeometryTables:
 
 def _build_scatter_table(material) -> _ScatterTable:
     """Flatten one material's element/isotope data into arrays."""
-    weights = np.asarray(
-        [
-            nuc.number_density * nuc.elem.sigma_scatter_b
-            for nuc in material.nuclides
-        ]
+    weights = [
+        nuc.number_density * nuc.elem.sigma_scatter_b
+        for nuc in material.nuclides
+    ]
+    isotopes = [nuc.elem.isotopes for nuc in material.nuclides]
+    sizes = [len(isos) for isos in isotopes]
+    iso_cum = np.full((max(sizes) - 1, len(isotopes)), np.inf)
+    for i, isos in enumerate(isotopes):
+        cums = np.cumsum([iso.abundance for iso in isos])[:-1]
+        iso_cum[: cums.size, i] = cums
+    masses = np.asarray(
+        [float(iso.mass_number) for isos in isotopes for iso in isos]
     )
-    cum_weight = np.cumsum(weights)
-    pad = max(len(nuc.elem.isotopes) for nuc in material.nuclides) + 1
-    iso_cum = np.full((weights.size, pad), np.inf)
-    iso_mass = np.empty((weights.size, pad))
-    for i, nuc in enumerate(material.nuclides):
-        isotopes = nuc.elem.isotopes
-        cums = np.cumsum([iso.abundance for iso in isotopes])
-        iso_cum[i, : cums.size] = cums
-        masses = [float(iso.mass_number) for iso in isotopes]
-        iso_mass[i, : len(masses)] = masses
-        iso_mass[i, len(masses) :] = masses[-1]
     return _ScatterTable(
-        elem_cum_weight=cum_weight,
-        total_weight=float(cum_weight[-1]),
-        iso_cum_2d=iso_cum,
-        iso_mass_2d=iso_mass,
+        elem_cum_weight=np.cumsum(weights)[:-1],
+        # Python's sum, as the scalar pick computes it.
+        total_weight=sum(weights),
+        first_isotope=np.cumsum([0] + sizes[:-1]),
+        iso_cum=tuple(iso_cum),
+        mass_numbers=masses,
+        alpha=_elastic_alpha(masses),
     )
 
 
@@ -196,6 +251,36 @@ def _build_tables(geometry: SlabGeometry) -> _GeometryTables:
 # ----------------------------------------------------------------------
 
 
+def _live_streams(rngs, stream: np.ndarray) -> List[tuple]:
+    """``(generator, alive count)`` of every stream with neutrons left."""
+    counts = np.bincount(stream, minlength=len(rngs)).tolist()
+    return [(rng, c) for rng, c in zip(rngs, counts) if c]
+
+
+def _tally_leaks(
+    leaks: np.ndarray, x: np.ndarray, e: np.ndarray, total_cm: float
+) -> None:
+    """Add neutrons leaking at ``x`` with energies ``e`` to ``leaks``,
+    indexed by ``3 * side + band`` (transmitted first, then reflected;
+    thermal, epithermal, fast)."""
+    key = np.searchsorted(_BAND_EDGES_EV, e, side="right")
+    key += 3 * (x < total_cm)
+    leaks += np.bincount(key, minlength=6)
+
+
+def _layered_alpha(
+    tables: _GeometryTables, idx: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Elastic alpha of the isotope struck by each scattering neutron,
+    picked from the table of the layer it is in (``idx``)."""
+    alpha = np.empty(u.size)
+    for li in np.flatnonzero(np.bincount(idx)):
+        sel = np.flatnonzero(idx == li)
+        table = tables.scatter_tables[li]
+        alpha[sel] = table.alpha.take(table.pick(u.take(sel)))
+    return alpha
+
+
 def _simulate_sweep(
     tables: _GeometryTables,
     bath_energy_ev: float,
@@ -218,109 +303,173 @@ def _simulate_sweep(
         else:
             energies.append(np.full(size, float(source_energy_ev)))
 
-    n_streams = len(rngs)
     bounds = tables.bounds_cm
     total_cm = float(bounds[-1])
-    last_layer = bounds.size - 2
+    n_layers = bounds.size - 1
     sigma_s_layer = tables.sigma_scatter_per_cm
     sigma_a0_layer = tables.sigma_absorb_thermal_per_cm
+    # A positive scattering and a non-negative absorption cross
+    # section keep sigma_t positive (or NaN) at every energy, so only
+    # a layer without them can send a neutron down the vacuum branch.
+    vacuum_possible = not np.all(
+        (sigma_s_layer > 0.0) & (sigma_a0_layer >= 0.0)
+    )
+    # Every study and facade query is a one-layer stack.  Running them
+    # through the general path instead costs shield-study (perfbench,
+    # ten alternating 30 s pairs, 2-vCPU host) a latency_p50 of
+    # 5905 ms against 3920 ms, slower in every pair.
+    single = n_layers == 1
+    if single:
+        # Every neutron is in layer 0: its scalars broadcast to the
+        # same bits the per-neutron lookup would gather.
+        sigma_s, sigma_a0 = sigma_s_layer[0], sigma_a0_layer[0]
+        lo, hi = bounds[0], bounds[1]
+        scatter_table = tables.scatter_tables[0]
 
-    # State arrays, kept compact: dead neutrons are dropped each round.
-    # ``stream`` stays sorted because compaction preserves order, so
+    # State arrays, kept compact: dead neutrons are dropped each round
+    # by an order-preserving ``take``, so ``stream`` stays sorted and
     # per-stream draws are contiguous slices.
-    stream = np.repeat(np.arange(n_streams), [e.size for e in energies])
+    stream = np.repeat(np.arange(len(rngs)), [e.size for e in energies])
     e = np.concatenate(energies) if energies else np.empty(0)
     x = np.zeros(e.size)
     mu = np.ones(e.size)
+    live = _live_streams(rngs, stream)
 
-    leaks = np.zeros((2, 3), dtype=np.int64)
-    absorbed_per_layer = np.zeros(last_layer + 1, dtype=np.int64)
+    leaks = np.zeros(6, dtype=np.int64)
+    absorbed_per_layer = np.zeros(n_layers, dtype=np.int64)
     collisions = 0
     lost = 0
 
-    for _ in range(_MAX_COLLISIONS):
-        k = x.size
-        if k == 0:
-            break
-        # Each stream draws the round's five uniforms (flight length,
-        # absorption, isotope, energy, direction) for exactly its own
-        # alive neutrons — the draw count is a function of that
-        # stream's history alone, which is what makes tallies
-        # independent of how streams are grouped into sweeps.
-        u = np.empty((5, k))
-        counts = np.bincount(stream, minlength=n_streams)
-        offset = 0
-        for s in range(n_streams):
-            c = int(counts[s])
-            if c:
-                u[:, offset : offset + c] = rngs[s].random((5, c))
-            offset += c
+    # log(0) and the vacuum branch's divisions by zero are expected.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_COLLISIONS):
+            k = x.size
+            if k == 0:
+                break
+            # Each stream draws the round's five uniforms (flight
+            # length, absorption, isotope, energy, direction) for
+            # exactly its own alive neutrons — the draw count is a
+            # function of that stream's history alone, which is what
+            # makes tallies independent of how streams are grouped
+            # into sweeps.
+            if len(live) == 1:
+                u = live[0][0].random((5, k))
+            else:
+                u = np.empty((5, k))
+                offset = 0
+                for rng, c in live:
+                    u[:, offset : offset + c] = rng.random((5, c))
+                    offset += c
 
-        idx = np.clip(
-            np.searchsorted(bounds, x, side="right") - 1, 0, last_layer
-        )
-        sigma_s = sigma_s_layer[idx]
-        sigma_a = sigma_a0_layer[idx] * np.sqrt(THERMAL_ENERGY_EV / e)
-        sigma_t = sigma_s + sigma_a
-        vacuum = sigma_t <= 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            distance = -np.log(u[0]) / sigma_t
-            p_abs = sigma_a / sigma_t
-        new_x = x + distance * mu
-        lo = bounds[idx]
-        hi = bounds[idx + 1]
-        # Vacuum-like layers stream straight to the nearest face.
-        new_x = np.where(vacuum, np.where(mu > 0.0, total_cm, 0.0), new_x)
-        crossed = ~vacuum & ((new_x > hi) | (new_x < lo))
-        boundary_x = np.where(
-            mu > 0.0, hi + _BOUNDARY_EPS_CM, lo - _BOUNDARY_EPS_CM
-        )
-        x = np.where(crossed, boundary_x, new_x)
-        leaked = (vacuum | crossed) & ((x >= total_cm) | (x <= 0.0))
+            if not single:
+                idx = np.searchsorted(bounds, x, side="right")
+                idx -= 1
+                np.clip(idx, 0, n_layers - 1, out=idx)
+                sigma_s = sigma_s_layer.take(idx)
+                sigma_a0 = sigma_a0_layer.take(idx)
+                lo = bounds.take(idx)
+                hi = bounds[1:].take(idx)
+            # The plain form of each line below is kept in its
+            # comment; the rewrite reorders only exact operations
+            # (commuted operands, negation moved), so no bit changes.
+            # sigma_a = sigma_a0 * sqrt(E0 / e)
+            sigma_a = THERMAL_ENERGY_EV / e
+            np.sqrt(sigma_a, out=sigma_a)
+            sigma_a *= sigma_a0
+            # sigma_t = sigma_s + sigma_a
+            sigma_t = sigma_a + sigma_s
+            # new_x = x + (-log(u0) / sigma_t) * mu
+            new_x = np.log(u[0])
+            new_x /= sigma_t
+            new_x *= mu
+            np.subtract(x, new_x, out=new_x)
+            # p_abs = sigma_a / sigma_t
+            p_abs = np.divide(sigma_a, sigma_t, out=sigma_a)
+            crossed = new_x > hi
+            crossed |= new_x < lo
 
-        colliding = ~vacuum & ~crossed
-        absorbed = colliding & (u[1] < p_abs)
-        collisions += int(colliding.sum())
-        if absorbed.any():
-            absorbed_per_layer += np.bincount(
-                idx[absorbed], minlength=last_layer + 1
-            )
-        scattering = colliding & ~absorbed
-        if scattering.any():
-            mass = np.ones(k)
-            for li in np.unique(idx[scattering]):
-                sel = scattering & (idx == li)
-                mass[sel] = tables.scatter_tables[li].sample_mass_numbers(
-                    u[2, sel]
+            # ``flying`` marks the neutrons that do not collide this
+            # round: the crossing and the vacuum-streaming.
+            flying = crossed
+            n_flying = 0
+            if vacuum_possible:
+                vacuum = sigma_t <= 0.0
+                if vacuum.any():
+                    # A vacuum neutron streams to the nearest face.
+                    crossed = crossed & ~vacuum
+                    flying = crossed | vacuum
+                    v = np.flatnonzero(vacuum)
+                    face = np.where(mu.take(v) > 0.0, total_cm, 0.0)
+                    _tally_leaks(leaks, face, e.take(v), total_cm)
+                    n_flying = v.size
+            cr = np.flatnonzero(crossed)
+            n_flying += cr.size
+            inner = None
+            if cr.size:
+                face = np.where(
+                    mu.take(cr) > 0.0,
+                    (hi if single else hi.take(cr)) + _BOUNDARY_EPS_CM,
+                    (lo if single else lo.take(cr)) - _BOUNDARY_EPS_CM,
                 )
-            e = np.where(
-                scattering,
-                scattered_energies_ev(e, mass, u[3], bath_energy_ev),
-                e,
-            )
-            mu = np.where(scattering, 2.0 * u[4] - 1.0, mu)
-        if leaked.any():
-            band = np.where(
-                e[leaked] < THERMAL_CUTOFF_EV,
-                0,
-                np.where(e[leaked] < FAST_CUTOFF_EV, 1, 2),
-            )
-            side = np.where(x[leaked] >= total_cm, 0, 1)
-            leaks += np.bincount(side * 3 + band, minlength=6).reshape(
-                2, 3
-            )
-        keep = ~(leaked | absorbed)
-        if not keep.all():
-            x = x[keep]
-            mu = mu[keep]
-            e = e[keep]
-            stream = stream[keep]
-    else:
-        # Pathological histories that hit the collision cap are banked
-        # as absorbed, mirroring the scalar engine.
-        lost = x.size
+                if single:
+                    # Both faces of a one-layer stack are outer faces.
+                    _tally_leaks(leaks, face, e.take(cr), total_cm)
+                else:
+                    out = (face >= total_cm) | (face <= 0.0)
+                    _tally_leaks(
+                        leaks, face[out], e.take(cr[out]), total_cm
+                    )
+                    if not out.all():
+                        # Stopped at an inner boundary: flies again.
+                        inner, inner_x = cr[~out], face[~out]
 
-    return leaks, absorbed_per_layer, lost, collisions
+            collisions += k - n_flying
+            # A colliding neutron is absorbed if ``absorbs``, else it
+            # scatters.
+            absorbs = u[1] < p_abs
+            if not single:
+                absorbed = np.flatnonzero(absorbs & ~flying)
+                absorbed_per_layer += np.bincount(
+                    idx.take(absorbed), minlength=n_layers
+                )
+            scat = np.flatnonzero(~(absorbs | flying))
+            if single:
+                absorbed_per_layer[0] += k - n_flying - scat.size
+
+            # Scattering: isotope pick, then energy and direction.
+            u_s = u[2].take(scat)
+            if single:
+                alpha = scatter_table.alpha.take(scatter_table.pick(u_s))
+            else:
+                alpha = _layered_alpha(tables, idx.take(scat), u_s)
+            e_s = _downscatter(
+                e.take(scat), alpha, u[3].take(scat), bath_energy_ev
+            )
+            # mu = 2 u4 - 1
+            mu_s = u[4].take(scat)
+            mu_s *= 2.0
+            mu_s -= 1.0
+            if inner is None:
+                keep = scat
+                x, e, mu = new_x.take(scat), e_s, mu_s
+            else:
+                alive = np.zeros(k, dtype=bool)
+                alive[scat] = True
+                alive[inner] = True
+                keep = np.flatnonzero(alive)
+                new_x[inner] = inner_x
+                e[scat] = e_s
+                mu[scat] = mu_s
+                x, e, mu = new_x.take(keep), e.take(keep), mu.take(keep)
+            if keep.size < k:
+                stream = stream.take(keep)
+                live = _live_streams(rngs, stream)
+        else:
+            # Pathological histories that hit the collision cap are
+            # banked as absorbed, mirroring the scalar engine.
+            lost = x.size
+
+    return leaks.reshape(2, 3), absorbed_per_layer, lost, collisions
 
 
 def _sweep_worker(args):
@@ -392,6 +541,11 @@ class BatchTransportEngine:
                 speed only — tallies are invariant.
             n_workers: if > 1, fan sweeps out over this many worker
                 processes and merge tallies.  Tallies are invariant.
+
+        Raises:
+            RuntimeError: if the merged tallies lose or invent a
+                neutron (a kernel defect; checked under ``python -O``
+                too).
         """
         if n_neutrons <= 0:
             raise ValueError(f"need n_neutrons > 0, got {n_neutrons}")
@@ -451,7 +605,8 @@ class BatchTransportEngine:
             obs.set_gauge(
                 "repro_histories_per_s", n_neutrons / sp.elapsed_s
             )
-        assert result.balance_check(), "neutron balance violated"
+        if not result.balance_check():
+            raise RuntimeError("neutron balance violated")
         return result
 
     def _run_shards(
@@ -477,6 +632,7 @@ class BatchTransportEngine:
             Exception: whatever the in-process retry of a shard
                 raises — one retry is the recovery policy, a second
                 failure is a real bug.
+            RuntimeError: if a shard's part was never delivered.
         """
         parts: Dict[int, Tuple[np.ndarray, np.ndarray, int, int]] = {}
 
@@ -536,7 +692,8 @@ class BatchTransportEngine:
             _deliver(shard, part)
 
         missing = [i for i in range(len(tasks)) if i not in parts]
-        assert not missing, f"shards never delivered: {missing}"
+        if missing:
+            raise RuntimeError(f"shards never delivered: {missing}")
         return [parts[i] for i in range(len(tasks))], len(failed)
 
     def _merge(

@@ -178,6 +178,9 @@ class ScalarTransportEngine:
 
         Returns:
             A frozen :class:`TransportResult`.
+
+        Raises:
+            RuntimeError: if the tally loses or invents a neutron.
         """
         if n_neutrons <= 0:
             raise ValueError(f"need n_neutrons > 0, got {n_neutrons}")
@@ -202,7 +205,8 @@ class ScalarTransportEngine:
         for e0 in energies:
             self._history(float(e0), tally)
         result = TransportResult.from_tally(tally)
-        assert result.balance_check(), "neutron balance violated"
+        if not result.balance_check():
+            raise RuntimeError("neutron balance violated")
         return result
 
     # ------------------------------------------------------------------

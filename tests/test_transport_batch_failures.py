@@ -2,8 +2,15 @@
 
 Shards are whole seed-stream groups, so the in-process retry after a
 failure recomputes bit-identical tallies; the only observable trace
-of trouble must be the ``degraded_shards`` flag.
+of trouble must be the ``degraded_shards`` flag.  The engines' own
+consistency checks (neutron balance, every shard delivered) must
+still fire under ``python -O``.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +127,93 @@ class TestShardFailures:
         assert controller.fired()
         assert result.degraded_shards == 0
         assert _same_tallies(result, clean)
+
+
+#: Breaks one consistency check, then runs the engine under it.  Exits
+#: 0 with the error's message if the engine raised ``RuntimeError``.
+_BROKEN_RUN = """
+import sys
+from unittest import mock
+
+import numpy as np
+
+from repro.transport import batch
+from repro.transport.materials import WATER
+from repro.transport.montecarlo import Layer, ScalarTransportEngine, SlabGeometry
+
+if not sys.flags.optimize:
+    sys.exit("not running under python -O")
+geometry = SlabGeometry([Layer(WATER, 4.0)])
+case = sys.argv[1]
+real_sweep = batch._simulate_sweep
+real_worker = batch._sweep_worker
+real_leak = ScalarTransportEngine._leak
+leak_calls = []
+
+
+def drop_one_leak(*task):
+    leaks, absorbed, lost, collisions = real_sweep(*task)
+    leaks = leaks.copy()
+    leaks.flat[np.flatnonzero(leaks)[0]] -= 1
+    return leaks, absorbed, lost, collisions
+
+
+def misfile_shard(args):
+    return 0, real_worker(args)[1]
+
+
+def skip_first_leak(self, x, energy_ev, tally):
+    leak_calls.append(x)
+    if len(leak_calls) > 1:
+        real_leak(self, x, energy_ev, tally)
+
+
+try:
+    if case == "batch-balance":
+        with mock.patch.object(batch, "_simulate_sweep", drop_one_leak):
+            batch.BatchTransportEngine(geometry).run(
+                5000, source_energy_ev=1.0e6, seed=7
+            )
+    elif case == "shards":
+        with mock.patch.object(batch, "_sweep_worker", misfile_shard):
+            batch.BatchTransportEngine(geometry).run(
+                8192, source_energy_ev=1.0e6, seed=7, batch_size=4096
+            )
+    else:
+        with mock.patch.object(
+            ScalarTransportEngine, "_leak", skip_first_leak
+        ):
+            ScalarTransportEngine(geometry).run(
+                200, source_energy_ev=1.0e6
+            )
+except RuntimeError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("the broken run returned a result")
+"""
+
+
+class TestChecksUnderOptimize:
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("batch-balance", "neutron balance violated"),
+            ("shards", "shards never delivered: [1]"),
+            ("scalar-balance", "neutron balance violated"),
+        ],
+    )
+    def test_broken_run_raises(self, case, message):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_RUN, case],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip() == message

@@ -9,15 +9,19 @@ Hypothesis drives randomized layer stacks and source spectra through
 * tally non-negativity;
 * tallies are invariant under the ``batch_size`` sweep width;
 * the elastic-scattering kernel never produces an energy below the
-  thermal-bath floor and never gains energy.
+  thermal-bath floor and never gains energy;
+* the vectorized isotope pick equals the scalar oracle's
+  ``Material.dominant_scatter_mass`` for every material.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.spectra.spectrum import Spectrum
 from repro.transport.batch import (
     BatchTransportEngine,
+    _build_scatter_table,
     scattered_energies_ev,
 )
 from repro.transport.materials import (
@@ -30,6 +34,7 @@ from repro.transport.materials import (
     WATER,
 )
 from repro.transport.montecarlo import Layer, SlabGeometry
+from tests.test_transport_answers import ALL_MATERIALS
 
 _MATERIALS = [
     WATER,
@@ -166,3 +171,64 @@ class TestScatterKernel:
             np.array([1.0e6]), np.array([1]), np.array([u]), 1.0e-30
         )
         assert out[0] == max(1.0e6 * u, 1.0e-30)
+
+
+def _pick_boundaries(material):
+    """Variates where the scalar pick may change its answer: each
+    element boundary ``cum / total`` and the first and last isotope
+    boundary ``(m + cum) / 997`` inside it, each with its float
+    neighbours, plus 0.0."""
+    weights = [
+        nuc.number_density * nuc.elem.sigma_scatter_b
+        for nuc in material.nuclides
+    ]
+    total = sum(weights)
+    points = [0.0]
+    acc = 0.0
+    for nuc, weight in zip(material.nuclides, weights):
+        acc += weight
+        points.append(acc / total)
+        iso_acc = 0.0
+        for iso in nuc.elem.isotopes:
+            iso_acc += iso.abundance
+            points += [iso_acc / 997.0, (996.0 + iso_acc) / 997.0]
+    points = np.asarray(points)
+    near = np.concatenate(
+        [points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)]
+    )
+    return near[near < 1.0]
+
+
+def _scalar_picks(material, u):
+    return [float(material.dominant_scatter_mass(float(v))) for v in u]
+
+
+class TestIsotopePick:
+    @pytest.mark.parametrize(
+        "material", ALL_MATERIALS, ids=lambda material: material.name
+    )
+    def test_matches_scalar_pick_at_draws_and_boundaries(self, material):
+        table = _build_scatter_table(material)
+        u = np.concatenate(
+            [
+                np.random.default_rng(2020).random(20_000),
+                _pick_boundaries(material),
+            ]
+        )
+        picked = table.mass_numbers.take(table.pick(u))
+        assert picked.tolist() == _scalar_picks(material, u)
+
+    @given(
+        material=st.sampled_from(ALL_MATERIALS),
+        u=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            min_size=1,
+            max_size=64,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_pick_on_drawn_values(self, material, u):
+        table = _build_scatter_table(material)
+        u = np.asarray(u)
+        picked = table.mass_numbers.take(table.pick(u))
+        assert picked.tolist() == _scalar_picks(material, u)
