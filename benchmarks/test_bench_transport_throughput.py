@@ -72,7 +72,8 @@ def _time_sweep(engine: str, n_histories: int) -> dict:
     Each point is a fresh facade answer, which builds a fresh engine —
     exactly what a shielding scan does — so the deterministic lane
     pays its full per-geometry setup (mesh + response matrices) every
-    point and only the module-level condensation cache carries over.
+    point.  Only the module-level memos carry over: the condensed
+    tables and the source's continuous-energy kernel.
     """
     start = time.perf_counter()
     for thickness_cm in _SWEEP_THICKNESSES_CM:

@@ -75,9 +75,9 @@ ENGINE_POLICIES = (
 #: this exact sequence (fixing the old batch->scalar shortcut).  The
 #: order is one of preference, not of cost: a deterministic solve is
 #: not always cheaper than the batch run it stands in for.  Under the
-#: ROTAX source on a 2-vCPU host it cost 0.4-0.8 of a 20 000-history
+#: ROTAX source on a 2-vCPU host it cost 0.26-0.39 of a 20 000-history
 #: batch run on the study's water (10 cm) and concrete (30 cm)
-#: shields but 1.0-2.0 times a 4096-history one, and 7-150 times a
+#: shields and 0.73-1.04 of a 4096-history one, but 3.4-48 times a
 #: batch run of either size on cadmium (0.1 cm) and borated
 #: polyethylene (5 cm).
 LIVE_CASCADE = ("batch", "deterministic", "scalar")
@@ -126,7 +126,10 @@ def pick_live_engine(
             there is a fallback to take.  That saves time only where
             the fallback is the cheaper engine for the query, which
             the cascade order does not promise (see
-            :data:`LIVE_CASCADE`).
+            :data:`LIVE_CASCADE`): a batch point downgraded to the
+            solver runs faster on the study's water and concrete
+            shields at 20 000 histories, about as fast at 4096, and
+            slower on its cadmium and borated polyethylene ones.
 
     Returns:
         ``(engine, reason)`` — ``reason`` is ``""`` when the pick is

@@ -22,20 +22,25 @@ thermal-bath floor.  This module collapses those laws onto a
 
 Collapsed tables are cached at module level keyed on the material's
 physical fingerprint and the structure, so thickness sweeps that
-rebuild engines per geometry pay for condensation once.
+rebuild engines per geometry pay for condensation once.  The same
+holds for a source's continuous-energy kernel in a material
+(:func:`source_kernel`): its quadrature, cross sections and
+first-collision rows depend on no thickness, so a sweep builds each
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import serde
 from repro.physics.isotopes import Element
 from repro.runtime.errors import ConfigurationError
+from repro.spectra.spectrum import Spectrum
 from repro.transport.materials import Material
 from repro.transport.multigroup.groups import GroupStructure
 
@@ -44,6 +49,7 @@ __all__ = [
     "clear_collapse_cache",
     "collapse",
     "scatter_probabilities",
+    "source_kernel",
 ]
 
 #: Default lethargy-flat quadrature points per group when averaging
@@ -52,6 +58,17 @@ _POINTS_PER_GROUP = 8
 
 #: (material fingerprint, structure key, bath, points) -> table.
 _COLLAPSE_CACHE: Dict[Tuple, "CollapsedMaterial"] = {}
+
+#: Source-energy quadrature points per spectrum bin.
+_POINTS_PER_SOURCE_BIN = 4
+
+#: Source kernels kept before the memo starts over: every material
+#: under both beamline spectra fits, with room for point sources.
+_SOURCE_KERNEL_CACHE_SIZE = 32
+
+#: (material fingerprint, source content, structure key, bath,
+#: points per source bin) -> kernel.
+_SOURCE_KERNEL_CACHE: Dict[Tuple, "SourceKernel"] = {}
 
 
 @dataclass(frozen=True)
@@ -251,8 +268,10 @@ def _material_fingerprint(material: Material) -> Tuple:
 
 
 def clear_collapse_cache() -> None:
-    """Drop every cached collapsed table (test hook)."""
+    """Drop every cached collapsed table and source kernel (test
+    hook)."""
     _COLLAPSE_CACHE.clear()
+    _SOURCE_KERNEL_CACHE.clear()
 
 
 def collapse(
@@ -335,3 +354,136 @@ def collapse(
     table.transfer.setflags(write=False)
     _COLLAPSE_CACHE[key] = table
     return table
+
+
+@dataclass(frozen=True)
+class SourceKernel:
+    """One source seen by one material, continuous in energy.
+
+    Everything the deterministic solver needs from the source that no
+    layer thickness changes.  Arrays are read-only.
+
+    Attributes:
+        energies_ev: source quadrature energies, eV.
+        weights: share of the source carried by each energy.
+        sigma_total_per_cm: the material's total cross section at
+            each energy, 1/cm.
+        sigma_absorb_per_cm: its absorption cross section at each
+            energy, 1/cm.
+        outgoing: first-collision outgoing-group rows, shape
+            ``(energies, groups)``; row ``k`` is the group
+            distribution of a scatter at ``energies_ev[k]``.
+    """
+
+    energies_ev: np.ndarray
+    weights: np.ndarray
+    sigma_total_per_cm: np.ndarray
+    sigma_absorb_per_cm: np.ndarray
+    outgoing: np.ndarray
+
+
+def _source_points(
+    source_energy_ev: Optional[float],
+    source_spectrum: Optional[Spectrum],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Quadrature (energies, weights) describing the source.
+
+    A spectrum is sampled like ``Spectrum.sample_energies``
+    distributes histories: bins weighted by flux, lethargy-flat
+    within a bin — here as fixed quadrature points instead of
+    random draws.
+    """
+    if source_spectrum is None:
+        return (
+            np.asarray([float(source_energy_ev)]),
+            np.asarray([1.0]),
+        )
+    total = source_spectrum.total_flux()
+    if total <= 0.0:
+        raise ConfigurationError(
+            "cannot solve for an empty source spectrum"
+        )
+    energies: List[float] = []
+    weights: List[float] = []
+    offsets = (
+        np.arange(_POINTS_PER_SOURCE_BIN) + 0.5
+    ) / _POINTS_PER_SOURCE_BIN
+    edges = source_spectrum.edges
+    for g, flux in enumerate(source_spectrum.group_flux):
+        if flux <= 0.0:
+            continue
+        lo, hi = edges[g], edges[g + 1]
+        points = lo * (hi / lo) ** offsets
+        energies.extend(points.tolist())
+        weights.extend(
+            [flux / total / _POINTS_PER_SOURCE_BIN]
+            * _POINTS_PER_SOURCE_BIN
+        )
+    return np.asarray(energies), np.asarray(weights)
+
+
+def source_kernel(
+    material: Material,
+    structure: GroupStructure,
+    bath_energy_ev: float,
+    source_energy_ev: Optional[float] = None,
+    source_spectrum: Optional[Spectrum] = None,
+) -> SourceKernel:
+    """The kernel of a point source or a spectrum in ``material``.
+
+    Give ``source_spectrum``, or else ``source_energy_ev``.  Kernels
+    are memoised like :func:`collapse`'s tables, keyed on the
+    material's fingerprint and the source's content, so equal
+    materials and equal spectra share an entry however they were
+    built.  The memo holds at most ``_SOURCE_KERNEL_CACHE_SIZE``
+    kernels and starts over when full; threads racing on a miss
+    each build the same kernel, and one of them is kept.
+
+    Raises:
+        repro.runtime.errors.ConfigurationError: if the spectrum
+            carries no flux.
+    """
+    if source_spectrum is None:
+        source: Tuple = (float(source_energy_ev),)
+    else:
+        source = (
+            source_spectrum.edges.tobytes(),
+            source_spectrum.group_flux.tobytes(),
+        )
+    key = (
+        _material_fingerprint(material),
+        source,
+        structure.key,
+        float(bath_energy_ev),
+        _POINTS_PER_SOURCE_BIN,
+    )
+    cached = _SOURCE_KERNEL_CACHE.get(key)
+    if cached is not None:
+        return cached
+
+    energies, weights = _source_points(source_energy_ev, source_spectrum)
+    kernel = SourceKernel(
+        energies_ev=energies,
+        weights=weights,
+        sigma_total_per_cm=np.asarray(
+            [material.sigma_total_per_cm(float(e)) for e in energies]
+        ),
+        sigma_absorb_per_cm=np.asarray(
+            [material.sigma_absorb_per_cm(float(e)) for e in energies]
+        ),
+        outgoing=_outgoing_rows(
+            material, energies, structure, bath_energy_ev
+        ),
+    )
+    for array in (
+        kernel.energies_ev,
+        kernel.weights,
+        kernel.sigma_total_per_cm,
+        kernel.sigma_absorb_per_cm,
+        kernel.outgoing,
+    ):
+        array.setflags(write=False)
+    if len(_SOURCE_KERNEL_CACHE) >= _SOURCE_KERNEL_CACHE_SIZE:
+        _SOURCE_KERNEL_CACHE.clear()
+    _SOURCE_KERNEL_CACHE[key] = kernel
+    return kernel

@@ -18,7 +18,10 @@ Numerical scheme
   *once* into a response matrix (scalar flux and boundary-current
   response to a unit isotropic emission per cell, built in log-space
   so thick stacks underflow benignly); a source iteration is then a
-  single ``C x C`` mat-vec instead of a cell-by-cell sweep.
+  single ``C x C`` mat-vec instead of a cell-by-cell sweep.  A
+  group's response is built in blocks of rows over the strict lower
+  triangle, when that group is solved, and is dropped once it is:
+  a solve holds one ``C x C`` response at a time.
 * **Energy** — the collapsed scattering matrix has no upscatter above
   the thermal bath, so groups are solved once each in descending
   energy order; only the *within-group* source iteration iterates,
@@ -27,7 +30,10 @@ Numerical scheme
 * **Sources** — the uncollided beam is attenuated with the
   *continuous-energy* cross sections (no condensation error) and its
   first collisions are distributed into groups with the continuous
-  scatter kernel; only the collided flux is multigroup.
+  scatter kernel; only the collided flux is multigroup.  That kernel
+  depends on no thickness, so it is memoised per material and source
+  next to the condensed tables
+  (:func:`~repro.transport.multigroup.condense.source_kernel`).
 
 The iteration budget surfaces through
 :class:`~repro.runtime.errors.ConvergenceError`; solver effort is
@@ -54,8 +60,8 @@ from repro.spectra.spectrum import Spectrum
 from repro.transport.montecarlo import SlabGeometry, _classify
 from repro.transport.multigroup.condense import (
     CollapsedMaterial,
-    _outgoing_rows,
     collapse,
+    source_kernel,
 )
 from repro.transport.multigroup.groups import (
     GroupStructure,
@@ -74,12 +80,22 @@ _TAU_TARGET = 0.25
 _MIN_CELLS_PER_LAYER = 2
 _MAX_TOTAL_CELLS = 512
 
-#: Source-energy quadrature points per spectrum bin.
-_POINTS_PER_SOURCE_BIN = 4
+#: Rows of a response matrix built per block.
+_BLOCK_ROWS = 64
+
+#: Strict-lower-triangle mask of a block's diagonal square.
+_BLOCK_LOWER = np.tri(_BLOCK_ROWS, _BLOCK_ROWS - 1, k=-1)
 
 #: Balance slack accepted by ``balance_check`` — iteration residual,
 #: not statistical noise.
 _BALANCE_TOL = 1.0e-6
+
+
+def _sum_ordinates(terms: np.ndarray, out: np.ndarray) -> None:
+    """Write ``terms.sum(axis=0)`` to ``out``, adding in index order."""
+    out[...] = terms[0]
+    for term in terms[1:]:
+        out += term
 
 
 @dataclass(frozen=True)
@@ -356,14 +372,6 @@ class DeterministicTransportEngine:
             cells = self.cell_layer == index
             in_group[:, cells] = np.diagonal(table.transfer)[:, None]
         self._in_group = in_group
-        # Strict-lower-triangle mask shared by every group response.
-        self._lower = np.tril(
-            np.ones((self.n_cells, self.n_cells)), k=-1
-        )
-        # Per-group response operators, built on first use.
-        self._responses: Dict[
-            int, Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
 
     def _group_response(
         self, g: int
@@ -376,56 +384,72 @@ class DeterministicTransportEngine:
         partial-current responses at the far/entry faces.  Both sweep
         directions share the same ``|mu|`` half-set, so the negative
         sweep is the positive one on the mirrored cell axis.
+
+        Only the strict lower triangle of the cell pairs carries a
+        path term, so both directions are built over it, one block of
+        rows at a time with every ordinate at once.  Each term is
+        ``((w_m r_mi) path_mij) e_mj``, summed over the ordinates in
+        order: the products and sums of the dense ``einsum`` the tests
+        keep as the reference, which this build must equal bit for
+        bit.
         """
-        cached = self._responses.get(g)
-        if cached is not None:
-            return cached
         tau = self._tau[g]  # (M, C)
         atten = self._atten[g]
         avg_weight = self._avg_weight[g]
+        twice_sigma = 2.0 * self.sigma_t[g]
         # Emitted angular flux leaving the source cell, per unit
         # emission density: (1 - a) / (2 sigma_t).
-        emit = (1.0 - atten) / (2.0 * self.sigma_t[g])[None, :]
+        emit = (1.0 - atten) / twice_sigma[None, :]
+        weighted = self.weights[:, None] * avg_weight
         # Attenuation between cells in log-space: path[m, i, j] =
         # prod(a_k, j < k < i) = exp(-(T[i-1] - T[j])); underflow of
         # long paths cleanly rounds to zero transmission.  The clamp
-        # only touches the j >= i region, which the mask zeroes.
+        # absorbs the rounding step by which T[i] - tau[i] can exceed
+        # T[i-1].
         total_tau = np.cumsum(tau, axis=1)
-        depth = total_tau[:, None, :] - (total_tau - tau)[:, :, None]
-        path = np.exp(np.minimum(depth, 0.0))
-        lower = self._lower
-        # Positive direction: cell i sees emission from j < i, so the
-        # cell-average response is r_i * emit_j * path[i, j].  The
-        # negative direction mirrors it — emission from j > i, same
-        # |mu| set, same path lengths — which is the transposed path
-        # pattern with r_i / emit_j in the same roles.
-        masked = path * lower[None, :, :]
-        flux = np.einsum(
-            "m,mi,mij,mj->ij", self.weights, avg_weight, masked, emit
-        )
-        flux += np.einsum(
-            "m,mi,mji,mj->ij", self.weights, avg_weight, masked, emit
-        )
+        entry_tau = total_tau - tau
+        n_cells = self.n_cells
+        flux = np.zeros((n_cells, n_cells))
+        for start in range(0, n_cells, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_cells)
+            rows = stop - start
+            cols = stop - 1  # every j < i for the block's rows i
+            path = (
+                total_tau[:, None, :cols]
+                - entry_tau[:, start:stop, None]
+            )
+            np.minimum(path, 0.0, out=path)
+            np.exp(path, out=path)
+            # The block's diagonal square also holds pairs j >= i.
+            path[:, :, start:] *= _BLOCK_LOWER[:rows, : rows - 1]
+            # Positive direction: cell i sees emission from j < i, so
+            # the cell-average response is r_i * emit_j * path[i, j].
+            term = weighted[:, start:stop, None] * path
+            term *= emit[:, None, :cols]
+            _sum_ordinates(term, flux[start:stop, :cols])
+            # The negative direction mirrors it — emission from j > i,
+            # same |mu| set, same path lengths — so it is the same path
+            # block with r and emit swapping roles, summed in this
+            # layout and transposed into the upper triangle.
+            np.multiply(weighted[:, None, :cols], path, out=term)
+            term *= emit[:, start:stop, None]
+            mirrored = np.empty((rows, cols))
+            _sum_ordinates(term, mirrored)
+            flux[:cols, start:stop] += mirrored.T
         # Self-term (1 - r_i) / (2 sigma_t_i), once per direction.
         diag = (
             self.weights[:, None]
             * (1.0 - avg_weight)
-            / (2.0 * self.sigma_t[g])[None, :]
+            / twice_sigma[None, :]
         ).sum(axis=0)
-        flux[np.diag_indices(self.n_cells)] += 2.0 * diag
+        flux.ravel()[:: n_cells + 1] += 2.0 * diag
         # Outgoing partial currents: emission attenuated through the
         # cells beyond it (far face) or before it (entry face).
+        leaving = (self.weights * self.mu)[:, None] * emit
         through = np.exp(-(total_tau[:, -1][:, None] - total_tau))
-        right = (
-            (self.weights * self.mu)[:, None] * emit * through
-        ).sum(axis=0)
-        back = np.exp(-(total_tau - tau))
-        left = (
-            (self.weights * self.mu)[:, None] * emit * back
-        ).sum(axis=0)
-        response = (flux, right, left)
-        self._responses[g] = response
-        return response
+        right = (leaving * through).sum(axis=0)
+        left = (leaving * np.exp(-entry_tau)).sum(axis=0)
+        return flux, right, left
 
     # -- public API ----------------------------------------------------
 
@@ -443,6 +467,9 @@ class DeterministicTransportEngine:
         Raises:
             repro.runtime.errors.ConvergenceError: if any group's
                 source iteration exhausts ``max_iterations``.
+            RuntimeError: if the answer fails its
+                ``balance_check``, as the MC engines raise on a
+                broken tally (also under ``python -O``).
         """
         if (source_energy_ev is None) == (source_spectrum is None):
             raise ConfigurationError(
@@ -465,83 +492,41 @@ class DeterministicTransportEngine:
                 "repro_deterministic_iterations_total",
                 result.iterations,
             )
+        if not result.balance_check():
+            raise RuntimeError("neutron balance violated")
         return result
 
     # -- solve pipeline ------------------------------------------------
-
-    def _source_points(
-        self,
-        source_energy_ev: Optional[float],
-        source_spectrum: Optional[Spectrum],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Quadrature (energies, weights) describing the source.
-
-        A spectrum is sampled like ``Spectrum.sample_energies``
-        distributes histories: bins weighted by flux, lethargy-flat
-        within a bin — here as fixed quadrature points instead of
-        random draws.
-        """
-        if source_energy_ev is not None:
-            return (
-                np.asarray([float(source_energy_ev)]),
-                np.asarray([1.0]),
-            )
-        assert source_spectrum is not None
-        total = source_spectrum.total_flux()
-        if total <= 0.0:
-            raise ConfigurationError(
-                "cannot solve for an empty source spectrum"
-            )
-        energies: List[float] = []
-        weights: List[float] = []
-        offsets = (
-            np.arange(_POINTS_PER_SOURCE_BIN) + 0.5
-        ) / _POINTS_PER_SOURCE_BIN
-        edges = source_spectrum.edges
-        for g, flux in enumerate(source_spectrum.group_flux):
-            if flux <= 0.0:
-                continue
-            lo, hi = edges[g], edges[g + 1]
-            points = lo * (hi / lo) ** offsets
-            energies.extend(points.tolist())
-            weights.extend(
-                [flux / total / _POINTS_PER_SOURCE_BIN]
-                * _POINTS_PER_SOURCE_BIN
-            )
-        return np.asarray(energies), np.asarray(weights)
 
     def _solve(
         self,
         source_energy_ev: Optional[float],
         source_spectrum: Optional[Spectrum],
     ) -> DeterministicTransportResult:
-        energies, weights = self._source_points(
-            source_energy_ev, source_spectrum
-        )
         layers = self.geometry.layers
         n_layers = len(layers)
         n_groups = self.structure.n_groups
+        kernels = [
+            source_kernel(
+                layer.material,
+                self.structure,
+                self.bath_energy_ev,
+                source_energy_ev,
+                source_spectrum,
+            )
+            for layer in layers
+        ]
+        energies = kernels[0].energies_ev
+        weights = kernels[0].weights
 
         # ---- uncollided beam, continuous in energy -------------------
         # sig_*[k, l]: continuous cross sections per source energy
         # and layer.
-        sig_t = np.asarray(
-            [
-                [
-                    layer.material.sigma_total_per_cm(float(e))
-                    for layer in layers
-                ]
-                for e in energies
-            ]
+        sig_t = np.stack(
+            [kernel.sigma_total_per_cm for kernel in kernels], axis=1
         )
-        sig_a = np.asarray(
-            [
-                [
-                    layer.material.sigma_absorb_per_cm(float(e))
-                    for layer in layers
-                ]
-                for e in energies
-            ]
+        sig_a = np.stack(
+            [kernel.sigma_absorb_per_cm for kernel in kernels], axis=1
         )
         sig_t_cells = sig_t[:, self.cell_layer]
         tau_edges = np.concatenate(
@@ -584,12 +569,7 @@ class DeterministicTransportEngine:
             cells = np.flatnonzero(self.cell_layer == index)
             if cells.size == 0:
                 continue
-            rows = _outgoing_rows(
-                layers[index].material,
-                energies,
-                self.structure,
-                self.bath_energy_ev,
-            )
+            rows = kernels[index].outgoing
             qfc[:, cells] = (
                 rows.T @ fc_scattered[:, cells]
             ) / self.dx_cm[None, cells]

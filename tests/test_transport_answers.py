@@ -14,7 +14,14 @@ was rewritten for speed, so the rewritten round must reproduce every
 count exactly.  It covers the study's shields, a service-sized run,
 every material alone and over water, a three-layer stack, stacks
 with a vacuum layer, each stack under a fast and a thermal source, a
-parallel run and the collision cap.
+parallel run and the collision cap.  The ``deterministic`` block was
+written by the deterministic engine as it stood before its response
+build was blocked and its source kernel memoised, so the rewritten
+solver must reproduce every answer exactly, iteration counts and
+balance residuals included.  It covers the shield-serve benchmark's
+thickness ladder, the service's shields, every material alone and
+over water (up to the mesh's cell cap), the three-layer stack and a
+fast beamline source.
 
 Regenerate only on purpose (a physics or sampling change), with::
 
@@ -40,6 +47,7 @@ from repro.transport.api import LIVE_CASCADE, TransportQuery, answer
 from repro.transport.batch import BatchTransportEngine
 from repro.transport.materials import AIR, CADMIUM, CONCRETE, WATER
 from repro.transport.montecarlo import Layer, SlabGeometry
+from repro.transport.multigroup import DeterministicTransportEngine
 from repro.transport.surrogate.surface import spectrum_source_key
 
 FIXTURE = Path(__file__).parent / "data" / "transport-answers.json"
@@ -59,6 +67,11 @@ STACK_SOURCES_EV = {"1MeV": 1.0e6, "0.025eV": 0.025}
 #: Sweep rounds the collision-cap entry allows before banking the
 #: survivors as lost.
 CAPPED_ROUNDS = 3
+
+#: The shield-serve benchmark's deterministic ladder: these shields at
+#: the centres of ``LADDER_RUNGS`` log-spaced rungs over 1-20 cm.
+LADDER_SHIELDS = ("water", "concrete", "borated-poly")
+LADDER_RUNGS = 5
 
 
 def _queries():
@@ -87,6 +100,24 @@ ALL_MATERIALS = sorted(
     ),
     key=lambda material: material.name,
 )
+
+
+def _stacks() -> dict:
+    """A three-layer stack and every material alone and over water."""
+    stacks = {
+        "water-cadmium-concrete": [
+            Layer(WATER, 3.0),
+            Layer(CADMIUM, 0.05),
+            Layer(CONCRETE, 10.0),
+        ],
+    }
+    for material in ALL_MATERIALS:
+        stacks[f"{material.name}-over-water"] = [
+            Layer(material, 4.0),
+            Layer(WATER, 1.0),
+        ]
+        stacks[material.name] = [Layer(material, 4.0)]
+    return stacks
 
 
 def _batch(layers, n_neutrons, **run_kwargs) -> dict:
@@ -130,20 +161,7 @@ def _batch_tallies() -> dict:
     tallies["service/water"] = _batch(
         [Layer(WATER, 10.0)], SERVICE_NEUTRONS, source_spectrum=rotax
     )
-    stacks = {
-        "water-cadmium-concrete": [
-            Layer(WATER, 3.0),
-            Layer(CADMIUM, 0.05),
-            Layer(CONCRETE, 10.0),
-        ],
-    }
-    for material in ALL_MATERIALS:
-        stacks[f"{material.name}-over-water"] = [
-            Layer(material, 4.0),
-            Layer(WATER, 1.0),
-        ]
-        stacks[material.name] = [Layer(material, 4.0)]
-    for stack, layers in stacks.items():
+    for stack, layers in _stacks().items():
         for label, energy_ev in STACK_SOURCES_EV.items():
             tallies[f"stack/{stack}/{label}"] = _batch(
                 layers, N_NEUTRONS, source_energy_ev=energy_ev
@@ -175,6 +193,37 @@ def _batch_tallies() -> dict:
     return tallies
 
 
+def _solve(layers, **source) -> dict:
+    engine = DeterministicTransportEngine(SlabGeometry(layers))
+    return engine.run(**source).to_dict()
+
+
+def _deterministic() -> dict:
+    """Deterministic-engine answers over every mesh shape it meets."""
+    rotax = rotax_spectrum()
+    answers = {}
+    for shield in LADDER_SHIELDS:
+        material = SHIELDS[shield][0]
+        for rung in range(LADDER_RUNGS):
+            thickness_cm = 20.0 ** ((rung + 0.5) / LADDER_RUNGS)
+            answers[f"ladder/{shield}/{rung}"] = _solve(
+                [Layer(material, thickness_cm)], source_spectrum=rotax
+            )
+    for shield, (material, thickness_cm) in sorted(SHIELDS.items()):
+        answers[f"shield/{shield}"] = _solve(
+            [Layer(material, thickness_cm)], source_spectrum=rotax
+        )
+    for stack, layers in _stacks().items():
+        for label, energy_ev in STACK_SOURCES_EV.items():
+            answers[f"stack/{stack}/{label}"] = _solve(
+                layers, source_energy_ev=energy_ev
+            )
+    answers["chipir/water"] = _solve(
+        [Layer(WATER, 10.0)], source_spectrum=chipir_spectrum()
+    )
+    return answers
+
+
 def compute() -> dict:
     """Every pinned number, computed by the code under test."""
     answers = {}
@@ -198,6 +247,7 @@ def compute() -> dict:
     return {
         "answers": answers,
         "batch_tallies": _batch_tallies(),
+        "deterministic": _deterministic(),
         "response_matrix": response_matrix(
             [0.0, 2.5, 5.0], n_neutrons=500
         ).tolist(),
@@ -226,6 +276,11 @@ def test_answers_match_the_fixture_exactly():
     )
     for key, pinned in expected["batch_tallies"].items():
         assert actual["batch_tallies"][key] == pinned, key
+    assert sorted(actual["deterministic"]) == sorted(
+        expected["deterministic"]
+    )
+    for key, pinned in expected["deterministic"].items():
+        assert actual["deterministic"][key] == pinned, key
     # Sharding over worker processes never changes a tally.
     tallies = actual["batch_tallies"]
     assert tallies["parallel/water"] == tallies["study/water"]

@@ -140,6 +140,7 @@ import numpy as np
 from repro.transport import batch
 from repro.transport.materials import WATER
 from repro.transport.montecarlo import Layer, ScalarTransportEngine, SlabGeometry
+from repro.transport.multigroup import DeterministicTransportEngine
 
 if not sys.flags.optimize:
     sys.exit("not running under python -O")
@@ -148,6 +149,7 @@ case = sys.argv[1]
 real_sweep = batch._simulate_sweep
 real_worker = batch._sweep_worker
 real_leak = ScalarTransportEngine._leak
+real_solve_group = DeterministicTransportEngine._solve_group
 leak_calls = []
 
 
@@ -168,6 +170,13 @@ def skip_first_leak(self, x, energy_ev, tally):
         real_leak(self, x, energy_ev, tally)
 
 
+def halve_bath_current(self, g, q_fixed):
+    phi, right, left, iterations = real_solve_group(self, g, q_fixed)
+    if g == self.bath_group:
+        right *= 0.5
+    return phi, right, left, iterations
+
+
 try:
     if case == "batch-balance":
         with mock.patch.object(batch, "_simulate_sweep", drop_one_leak):
@@ -178,6 +187,13 @@ try:
         with mock.patch.object(batch, "_sweep_worker", misfile_shard):
             batch.BatchTransportEngine(geometry).run(
                 8192, source_energy_ev=1.0e6, seed=7, batch_size=4096
+            )
+    elif case == "deterministic-balance":
+        with mock.patch.object(
+            DeterministicTransportEngine, "_solve_group", halve_bath_current
+        ):
+            DeterministicTransportEngine(geometry).run(
+                source_energy_ev=1.0e6
             )
     else:
         with mock.patch.object(
@@ -200,6 +216,7 @@ class TestChecksUnderOptimize:
             ("batch-balance", "neutron balance violated"),
             ("shards", "shards never delivered: [1]"),
             ("scalar-balance", "neutron balance violated"),
+            ("deterministic-balance", "neutron balance violated"),
         ],
     )
     def test_broken_run_raises(self, case, message):
