@@ -179,6 +179,12 @@ def run_serve(args: argparse.Namespace) -> int:
                     "repro_service_cache_swept_total",
                     cache.swept_on_init,
                 )
+            if surrogate_root is not None:
+                # Load (read and verify) every artifact now, where
+                # its quarantine counts still reach /metrics: the
+                # event loop asks the store whether it serves a
+                # transmission and must never do artifact I/O.
+                transport_api.default_store().digests()
             interrupted = asyncio.run(
                 _serve_async(
                     service,

@@ -51,8 +51,10 @@ class Coalescer:
         """Await the result for ``key``, computing it at most once.
 
         ``compute`` is a blocking callable; it runs in the event
-        loop's default thread pool.  Concurrent callers with the same
-        key all await one shared future.  If this caller is
+        loop's default thread pool.  The server hands it only
+        live-engine jobs: answers that need no engine are computed
+        on the loop and never come here.  Concurrent callers with the
+        same key all await one shared future.  If this caller is
         cancelled, the computation continues for the others.
         """
         loop = asyncio.get_running_loop()

@@ -47,7 +47,12 @@ from repro.runtime.events import EventLog
 from repro.runtime.supervisor import Supervisor
 from repro.service.protocol import SERVICE_SITES, SHIELDS, Query
 from repro.spectra.beamlines import rotax_spectrum
-from repro.transport.api import AccuracyTarget, TransportQuery, answer
+from repro.transport.api import (
+    AccuracyTarget,
+    TransportQuery,
+    answer,
+    surrogate_serves,
+)
 
 __all__ = [
     "ExecutionOutcome",
@@ -132,6 +137,23 @@ def _flux(payload: dict) -> dict:
     }
 
 
+def _transport_query(payload: dict) -> TransportQuery:
+    """The facade query a transmission payload asks."""
+    return TransportQuery(
+        mode="transmission",
+        material=SHIELDS[payload["shield"]][0],
+        thickness_cm=payload["thickness_cm"],
+        source_spectrum=rotax_spectrum(),
+        n_neutrons=payload["n_neutrons"],
+        seed=payload["seed"],
+        engine=payload["engine"],
+        accuracy=AccuracyTarget(
+            rel_err=payload.get("rel_err", 0.05),
+            confidence=payload.get("confidence", 0.95),
+        ),
+    )
+
+
 def _transmission(payload: dict) -> dict:
     """Shield transmission through the transport facade.
 
@@ -139,21 +161,10 @@ def _transmission(payload: dict) -> dict:
     surface, or a live engine picked by the shared cascade policy
     (``payload["blocked"]`` lists engines the breaker disabled).
     """
-    material = SHIELDS[payload["shield"]][0]
+    # The helper's query carries the request payload's seed; taint
+    # cannot see through its return value.
     served = answer(
-        TransportQuery(
-            mode="transmission",
-            material=material,
-            thickness_cm=payload["thickness_cm"],
-            source_spectrum=rotax_spectrum(),
-            n_neutrons=payload["n_neutrons"],
-            seed=payload["seed"],
-            engine=payload["engine"],
-            accuracy=AccuracyTarget(
-                rel_err=payload.get("rel_err", 0.05),
-                confidence=payload.get("confidence", 0.95),
-            ),
-        ),
+        _transport_query(payload),  # repro: noqa REP101
         blocked=frozenset(payload.get("blocked", ())),
     )
     result = served.result
@@ -215,9 +226,10 @@ class QueryExecutor:
     """Executes queries with retry, pooling, and degradation.
 
     Args:
-        n_workers: transmission queries dispatch to a ``fork``
-            process pool of this size when > 1 (other kinds are
-            cheap and always run in-process).
+        n_workers: queries that need a live transport engine
+            (:meth:`needs_engine`) dispatch to a ``fork`` process
+            pool of this size when > 1; every other query is cheap
+            and runs in-process.
         retry: transient-fault backoff policy around every dispatch.
         sleep: injectable backoff sleeper.
         breaker: injectable circuit breaker (tests/chaos assert its
@@ -282,6 +294,20 @@ class QueryExecutor:
 
     # -- execution -----------------------------------------------------
 
+    @staticmethod
+    def needs_engine(query: Query) -> bool:
+        """Whether answering ``query`` runs a live transport engine.
+
+        ``fit``, ``cross-section`` and ``flux`` answers never do; a
+        transmission answer does unless the configured surrogate
+        store would serve it (:func:`~repro.transport.api.surrogate_serves`,
+        the facade's own negotiation).  The breaker does not enter:
+        surrogate serving ignores blocked engines.  Counts nothing.
+        """
+        return query.kind == "transmission" and not surrogate_serves(
+            _transport_query(query.to_dict())
+        )
+
     def execute(self, query: Query) -> ExecutionOutcome:
         """Compute one query; degrade rather than fail or hang."""
         payload = query.to_dict()
@@ -291,8 +317,9 @@ class QueryExecutor:
             # batch-blocked queries walk batch -> deterministic ->
             # scalar, same as the studies scheduler.
             payload["blocked"] = ["batch"]
+        pooled = self.n_workers > 1 and self.needs_engine(query)
         result, worker_died = self._supervisor.call(
-            query.kind, lambda: self._dispatch(payload)
+            query.kind, lambda: self._dispatch(payload, pooled)
         )
         self.compute_count += 1
         provenance = (
@@ -325,15 +352,18 @@ class QueryExecutor:
             provenance=provenance,
         )
 
-    def _dispatch(self, payload: dict) -> Tuple[dict, bool]:
-        """Run one payload; survive pool-worker death.
+    def _dispatch(
+        self, payload: dict, pooled: bool
+    ) -> Tuple[dict, bool]:
+        """Run one payload, on the pool when ``pooled``; survive
+        pool-worker death.
 
         Returns:
             ``(result, worker_died)`` — when the pool broke (a
             worker was SIGKILL'd mid-query) the result comes from an
             in-process recompute and ``worker_died`` is True.
         """
-        if self.n_workers <= 1 or payload["kind"] != "transmission":
+        if not pooled:
             return _execute_query(payload), False
         try:
             pool = self._ensure_pool()

@@ -1,19 +1,31 @@
 """The FIT query service: NDJSON protocol handler and HTTP metrics.
 
-:class:`FitService` wires the layers together: parse → admit →
-cache → coalesce → execute → cache-fill → respond.  Its contract is
+:class:`FitService` wires the layers together.  Its contract is
 that **every line in produces exactly one line out** — a success
 envelope or a structured error with a code from
 :data:`~repro.service.protocol.ERROR_CODES` — and no client input or
 backend failure escapes as an unhandled exception.
 
+A request takes one of two paths after parse → admit, chosen by
+:meth:`~repro.service.compute.QueryExecutor.needs_engine`:
+
+* **Inline** — ``fit``, ``cross-section`` and ``flux`` queries, and
+  transmission queries the configured surrogate store serves: execute
+  on the event loop → yield one loop turn → respond.  These answers
+  take well under a millisecond, less than the worker-thread
+  hand-off; no cache read, no coalescer, and no deadline (nothing
+  could preempt them).  The yield bounds what one connection holds
+  the loop for to one inline answer, even when it pipelines lines.
+* **Live** — every query that runs a live transport engine: cache
+  read → coalesce → execute on a worker thread (or the ``--workers``
+  fork pool) → cache-fill → respond, under the request's deadline.
+
 The durable cache holds only clean live-engine transmission answers
 (:func:`_cacheable`), each a transport run of tens of milliseconds.
-Every other answer is recomputed: ``fit``, ``cross-section`` and
-``flux`` answers and surrogate-served ones take well under a
-millisecond, less than the fsync'd write that would store them.  A
-surrogate answer must also not outlive its artifact, and the cache
-key (plan digest, seed) does not name the artifact.
+Every inline answer is recomputed: it is cheaper than the fsync'd
+write that would store it.  A surrogate answer must also not outlive
+its artifact, and the cache key (plan digest, seed) does not name
+the artifact.
 
 The same listening socket also answers plain ``GET /metrics`` (and
 ``/healthz``) HTTP requests: a connection whose first bytes look
@@ -33,7 +45,7 @@ from repro.obs import core as obs
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
 from repro.service.coalesce import Coalescer
-from repro.service.compute import QueryExecutor
+from repro.service.compute import ExecutionOutcome, QueryExecutor
 from repro.service.protocol import (
     STUDY_KINDS,
     ServiceError,
@@ -69,6 +81,17 @@ def _cacheable(result: object, degraded: bool) -> bool:
         and provenance.get("engine") in LIVE_CASCADE
         and provenance.get("degraded") is False
     )
+
+
+def _envelope(outcome: ExecutionOutcome) -> dict:
+    """The success envelope of a freshly computed answer."""
+    return {
+        "result": outcome.result,
+        "cached": False,
+        "degraded": outcome.degraded,
+        "degraded_reason": outcome.reason,
+        "provenance": outcome.provenance,
+    }
 
 
 class FitService:
@@ -255,11 +278,24 @@ class FitService:
         )
 
     async def _answer(self, request, timeout_s: float) -> dict:
-        """Produce the success envelope for an admitted request."""
+        """Produce the success envelope for an admitted request.
+
+        A query that needs no live engine is computed right here on
+        the event loop: its answer takes well under a millisecond,
+        less than the thread hand-off, and the cache never holds it.
+        Only live-engine runs pay for the cache read, the coalescer
+        and the worker thread.
+        """
         query = request.query
+        if not self.executor.needs_engine(query):
+            envelope = _envelope(self.executor.execute(query))
+            # Reading a buffered line and writing a small answer do
+            # not suspend: yield one loop turn, so a client pipelining
+            # many lines cannot hold off every other connection.
+            await asyncio.sleep(0)
+            return envelope
         key = query.cache_key()
-        # Only transmission queries can produce a cacheable answer.
-        cache = self.cache if query.kind == "transmission" else None
+        cache = self.cache
 
         def job() -> dict:
             if cache is not None:
@@ -279,13 +315,7 @@ class FitService:
                 outcome.result, outcome.degraded
             ):
                 cache.put(key, query, outcome.result)
-            return {
-                "result": outcome.result,
-                "cached": False,
-                "degraded": outcome.degraded,
-                "degraded_reason": outcome.reason,
-                "provenance": outcome.provenance,
-            }
+            return _envelope(outcome)
 
         if timeout_s > 0.0:
             return await asyncio.wait_for(

@@ -56,6 +56,7 @@ __all__ = [
     "default_store",
     "pick_live_engine",
     "set_default_store",
+    "surrogate_serves",
 ]
 
 #: Every engine policy a query may request.  The first two are
@@ -68,6 +69,9 @@ ENGINE_POLICIES = (
     "deterministic",
     "scalar",
 )
+
+#: The negotiation policies: a certified surrogate may serve them.
+_NEGOTIATED = ENGINE_POLICIES[:2]
 
 #: The shared live-engine downgrade order: batch MC, then the
 #: noise-free multigroup solver, then the scalar oracle as the
@@ -364,8 +368,13 @@ def _run_live(query: TransportQuery, engine: str):
     )
 
 
-def _try_surrogate(query: TransportQuery, store: SurrogateStore):
-    """A certified surrogate answer, or ``(None, reason)``."""
+def _certified_surface(query: TransportQuery, store: SurrogateStore):
+    """The surface that may serve ``query``, or ``(None, reason)``.
+
+    A hit is ``((surface, digest), "")``: a surface of the query's
+    family covers its thickness, and the surface's certified bound
+    meets its accuracy target.  Counts nothing.
+    """
     hit = store.lookup(
         query.mode,
         query.material.name,
@@ -374,13 +383,40 @@ def _try_surrogate(query: TransportQuery, store: SurrogateStore):
     )
     if hit is None:
         return None, "no-surface"
-    surface, digest = hit
+    surface = hit[0]
     if not surface.meets(
         query.thickness_cm,
         query.accuracy.rel_err,
         query.accuracy.confidence,
     ):
         return None, "bound-exceeds-target"
+    return hit, ""
+
+
+def surrogate_serves(query: TransportQuery) -> bool:
+    """Whether :func:`answer` would serve ``query`` from the
+    process-wide store.
+
+    True when the query's policy negotiates (``auto`` or
+    ``surrogate``) and a certified surface meets its accuracy target,
+    so no live engine would run.  Blocked engines do not matter:
+    surrogate serving ignores them.  Counts no metrics; the answer's
+    own negotiation counts the hit or miss.
+    """
+    store = _DEFAULT_STORE
+    return (
+        store is not None
+        and query.engine in _NEGOTIATED
+        and _certified_surface(query, store)[0] is not None
+    )
+
+
+def _try_surrogate(query: TransportQuery, store: SurrogateStore):
+    """A certified surrogate answer, or ``(None, reason)``."""
+    hit, reason = _certified_surface(query, store)
+    if hit is None:
+        return None, reason
+    surface, digest = hit
     result = surface.evaluate(query.thickness_cm)
     provenance = Provenance(
         engine="surrogate",
@@ -419,7 +455,7 @@ def answer(
         store = _DEFAULT_STORE
     requested = query.engine
     miss_reason = ""
-    if store is not None and requested in ("auto", "surrogate"):
+    if store is not None and requested in _NEGOTIATED:
         served, miss_reason = _try_surrogate(query, store)
         if served is not None:
             obs.inc("repro_surrogate_hits_total", mode=query.mode)
@@ -429,7 +465,7 @@ def answer(
             mode=query.mode,
             reason=miss_reason,
         )
-    elif requested in ("auto", "surrogate"):
+    elif requested in _NEGOTIATED:
         miss_reason = "no-store"
     engine, cascade_reason = pick_live_engine(
         requested, blocked=blocked, budget_pressure=budget_pressure

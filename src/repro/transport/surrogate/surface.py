@@ -10,6 +10,7 @@ an error bar that was *measured*, not assumed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -65,9 +66,14 @@ _LOG_FLOOR = 1.0e-12
 ABS_SERVE_FLOOR = 5.0e-3
 
 
+@functools.lru_cache(maxsize=64)
 def z_for_confidence(confidence: float) -> float:
     """Two-sided normal quantile: smallest ``z`` with
-    ``erf(z / sqrt(2)) >= confidence``."""
+    ``erf(z / sqrt(2)) >= confidence``.
+
+    Memoised: every served answer asks for its confidence twice, and
+    a bisection costs sixty ``erf`` calls.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError(
             f"confidence must be in (0, 1), got {confidence}"
@@ -83,6 +89,11 @@ def z_for_confidence(confidence: float) -> float:
 
 #: Relative slack on the envelope edges (grid endpoints are inside).
 _EDGE_RTOL = 1.0e-9
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def spectrum_source_key(spectrum: Spectrum) -> str:
@@ -302,6 +313,30 @@ class ResponseSurface:
 
     # -- interpolation -------------------------------------------------
 
+    # The log tables are computed on first use and kept in the
+    # instance ``__dict__``: they are not fields, so equality,
+    # ``to_dict`` and the artifact digest never see them.
+
+    @functools.cached_property
+    def _log_grid(self) -> np.ndarray:
+        """``log`` of the thickness grid."""
+        return _read_only(np.log(np.asarray(self.thickness_cm)))
+
+    @functools.cached_property
+    def _log_channels(self) -> Dict[str, np.ndarray]:
+        """``log`` of each channel's grid values, floored at
+        :data:`_LOG_FLOOR`."""
+        return {
+            channel: _read_only(
+                np.log(
+                    np.maximum(
+                        np.asarray(values, dtype=float), _LOG_FLOOR
+                    )
+                )
+            )
+            for channel, values in self.channels.items()
+        }
+
     def predict(self, channel: str, thickness_cm: float) -> float:
         """Interpolate one channel (log-thickness, log-value).
 
@@ -316,11 +351,14 @@ class ResponseSurface:
                 f" envelope [{self.thickness_cm[0]},"
                 f" {self.thickness_cm[-1]}] cm"
             )
-        grid = np.log(np.asarray(self.thickness_cm))
-        values = np.asarray(self.channels[channel], dtype=float)
-        logs = np.log(np.maximum(values, _LOG_FLOOR))
         raw = float(
-            np.exp(np.interp(math.log(thickness_cm), grid, logs))
+            np.exp(
+                np.interp(
+                    math.log(thickness_cm),
+                    self._log_grid,
+                    self._log_channels[channel],
+                )
+            )
         )
         if raw <= 10.0 * _LOG_FLOOR:
             raw = 0.0

@@ -8,11 +8,15 @@ import threading
 
 import pytest
 
+from repro.chaos import actions as chaos_actions
 from repro.chaos import trials
+from repro.chaos.faultpoints import activated
+from repro.chaos.schedule import ChaosController, ChaosSpec
 from repro.durable import QUARANTINE_SUFFIX, payload_checksum
 from repro.obs import core as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.budget import Budget, CircuitBreaker, RetryPolicy
+from repro.runtime.events import EventKind
 from repro.service import (
     AdmissionController,
     Coalescer,
@@ -488,6 +492,230 @@ def test_coalesced_error_is_shared_cleanly():
         for r in results
     )
     assert len(calls) == 1
+
+
+# -- routing: the event loop or the worker thread ----------------------
+
+
+@pytest.fixture
+def surrogate_store(tmp_path):
+    """The trial surrogate artifact as the process-wide store."""
+    trials.make_surrogate_root(tmp_path / "surrogates")
+    before = transport_api.default_store()
+    transport_api.configure(str(tmp_path / "surrogates"))
+    try:
+        yield
+    finally:
+        transport_api.set_default_store(before)
+
+
+#: Requests no live engine answers once the trial artifact serves.
+_INLINE_LINES = (
+    _line(kind="fit", params={"device": "K20", "site": "nyc"}),
+    _line(kind="cross-section", params={"device": "TitanX"}),
+    _line(kind="flux", params={"site": "leadville", "room": True}),
+    _auto_cadmium_line(),
+    _line(
+        kind="transmission",
+        params={"shield": "cadmium", "thickness_cm": 0.3,
+                "engine": "surrogate"},
+    ),
+)
+
+
+def _traced_service(tmp_path, monkeypatch):
+    """A cached service recording cache reads, coalescer entries and
+    the thread each ``execute`` ran on."""
+    service = _service(cache_dir=tmp_path / "cache")
+    seen = {"get": 0, "coalesce": 0, "threads": []}
+    get, coalesce = service.cache.get, service.coalescer.get_or_compute
+    execute = service.executor.execute
+
+    def counted_get(key):
+        seen["get"] += 1
+        return get(key)
+
+    def counted_coalesce(key, job):
+        seen["coalesce"] += 1
+        return coalesce(key, job)
+
+    def threaded_execute(query):
+        seen["threads"].append(threading.get_ident())
+        return execute(query)
+
+    monkeypatch.setattr(service.cache, "get", counted_get)
+    monkeypatch.setattr(service.coalescer, "get_or_compute", counted_coalesce)
+    monkeypatch.setattr(service.executor, "execute", threaded_execute)
+    return service, seen
+
+
+def _answer_on_loop(service, lines):
+    """Answer lines in order; returns (bodies, the loop's thread)."""
+
+    async def run():
+        bodies = [json.loads(await service.handle_line(x)) for x in lines]
+        return bodies, threading.get_ident()
+
+    return asyncio.run(run())
+
+
+@pytest.mark.usefixtures("surrogate_store")
+def test_queries_needing_no_engine_are_answered_on_the_loop(
+    tmp_path, monkeypatch
+):
+    service, seen = _traced_service(tmp_path, monkeypatch)
+    bodies, loop_thread = _answer_on_loop(service, _INLINE_LINES * 2)
+    assert all(b["ok"] and not b["cached"] for b in bodies), bodies
+    assert bodies[3]["provenance"]["engine"] == "surrogate"
+    assert bodies[4]["provenance"]["engine"] == "surrogate"
+    assert seen["threads"] == [loop_thread] * len(bodies)
+    assert seen["get"] == 0
+    assert seen["coalesce"] == 0
+    assert service.executor.compute_count == len(bodies)
+    assert not list(service.cache.root.rglob("*.json"))
+
+
+@pytest.mark.usefixtures("surrogate_store")
+def test_live_transmissions_still_take_the_cache_and_the_thread(
+    tmp_path, monkeypatch
+):
+    service, seen = _traced_service(tmp_path, monkeypatch)
+    out_of_envelope = _line(
+        kind="transmission",
+        params={"shield": "cadmium", "thickness_cm": 1.0,
+                "n_neutrons": 256, "engine": "auto"},
+    )
+    lines = [_live_line(), out_of_envelope, _live_line(), out_of_envelope]
+    bodies, loop_thread = _answer_on_loop(service, lines)
+    assert [b["cached"] for b in bodies] == [False, False, True, True]
+    assert bodies[1]["provenance"]["engine"] == "batch"
+    assert seen["get"] == seen["coalesce"] == len(lines)
+    # The two misses were computed, off the loop thread.
+    assert len(seen["threads"]) == 2
+    assert loop_thread not in seen["threads"]
+
+
+@pytest.mark.usefixtures("surrogate_store")
+def test_counters_follow_the_path_each_request_took(tmp_path):
+    service = _service(cache_dir=tmp_path / "cache")
+    negotiated = [
+        _auto_cadmium_line(),
+        _line(
+            kind="transmission",
+            params={"shield": "cadmium", "thickness_cm": 0.05,
+                    "engine": "surrogate"},
+        ),
+        _line(
+            kind="transmission",
+            params={"shield": "cadmium", "thickness_cm": 2.0,
+                    "n_neutrons": 128, "engine": "auto"},
+        ),
+    ]
+    live = [_live_line(), _live_line(seed=4)]
+    inline = list(_INLINE_LINES[:3])
+    registry = MetricsRegistry()
+    with obs.observing(obs.Observer(registry=registry)):
+        for lines in (negotiated, live, inline):
+            assert all(b["ok"] for b in _answer_on_loop(service, lines)[0])
+    surrogate = registry.counter(
+        "repro_surrogate_hits_total", mode="transmission"
+    ) + sum(
+        registry.counter(
+            "repro_surrogate_misses_total", mode="transmission",
+            reason=reason,
+        )
+        for reason in ("no-surface", "bound-exceeds-target")
+    )
+    assert surrogate == len(negotiated)
+    assert registry.counter(
+        "repro_surrogate_hits_total", mode="transmission"
+    ) == 2
+    # One cache read per live request: the out-of-envelope negotiation
+    # and the two batch runs.
+    assert registry.counter("repro_service_cache_misses_total") == 3
+    assert registry.counter("repro_service_cache_hits_total") == 0
+
+
+@pytest.mark.usefixtures("surrogate_store")
+@pytest.mark.parametrize("line", [_INLINE_LINES[0], _auto_cadmium_line()])
+def test_inline_requests_ride_out_a_transient_dispatch_fault(line):
+    clean = _answer(_service(), line)
+    service = _service()
+    controller = ChaosController(
+        ChaosSpec("service.dispatch", chaos_actions.RAISE_TRANSIENT)
+    )
+    with activated(controller):
+        body = _answer(service, line)
+    assert controller.fired()
+    assert body == clean
+    assert service.executor.events.count(EventKind.RETRY) == 1
+    assert service.executor.compute_count == 1
+
+
+@pytest.mark.usefixtures("surrogate_store")
+def test_the_fork_pool_runs_live_engines_only():
+    service = _service(n_workers=2)
+    try:
+        for line in (_auto_cadmium_line(), _INLINE_LINES[0]):
+            assert _answer(service, line)["ok"]
+        # Computed in this process: the lazy pool was never built.
+        assert service.executor._pool is None
+        query = Query.from_params("transmission", _LIVE_PARAMS)
+        pooled = service.executor.execute(query)
+        assert service.executor._pool is not None
+    finally:
+        service.close()
+    assert pooled.result == QueryExecutor().execute(query).result
+
+
+class _SinkWriter:
+    """A stream writer whose buffer never fills: drain never waits."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, data):
+        self.lines.append(data)
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
+@pytest.mark.usefixtures("surrogate_store")
+def test_a_pipelining_client_does_not_hold_off_other_connections():
+    # Every line is already buffered and no write waits, so only the
+    # loop turn yielded after each inline answer lets the second
+    # connection in before the first one's batch is through.
+    service = _service()
+    kinds = []
+    execute = service.executor.execute
+
+    def recorded_execute(query):
+        kinds.append(query.kind)
+        return execute(query)
+
+    service.executor.execute = recorded_execute
+    batch = [_INLINE_LINES[0], _auto_cadmium_line()] * 20
+    other = _line(kind="flux", params={"site": "leadville"})
+
+    async def run():
+        writers = [_SinkWriter(), _SinkWriter()]
+        handlers = []
+        for lines, writer in zip((batch, [other]), writers):
+            reader = asyncio.StreamReader()
+            reader.feed_data("".join(x + "\n" for x in lines).encode())
+            reader.feed_eof()
+            handlers.append(service.handle_connection(reader, writer))
+        await asyncio.gather(*handlers)
+        return writers
+
+    writers = asyncio.run(run())
+    assert [len(w.lines) for w in writers] == [len(batch), 1]
+    assert all(json.loads(x)["ok"] for w in writers for x in w.lines)
+    assert kinds.index("flux") <= 2, kinds
 
 
 # -- admission control -------------------------------------------------

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.chaos import trials
 from repro.obs import core as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.budget import RetryPolicy
@@ -17,6 +18,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.transport import api as transport_api
 
 
 def _no_sleep(_delay_s: float) -> None:
@@ -40,10 +42,21 @@ class _LiveServer:
             self.port = self._server.sockets[0].getsockname()[1]
             started.set()
 
+        async def finish_handlers():
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            await asyncio.gather(*handlers, return_exceptions=True)
+
         def run():
             asyncio.set_event_loop(self.loop)
             self.loop.run_until_complete(boot())
             self.loop.run_forever()
+            # stop() cancelled the connection handlers: let each one
+            # close its transport before the loop itself is closed.
+            self.loop.run_until_complete(finish_handlers())
+            self.loop.run_until_complete(
+                self.loop.shutdown_default_executor()
+            )
+            self.loop.close()
 
         self.thread = threading.Thread(target=run, daemon=True)
         self.thread.start()
@@ -52,14 +65,13 @@ class _LiveServer:
     def stop(self) -> None:
         def shutdown():
             self._server.close()
-            # Cancel lingering connection handlers so their writers
-            # close while the loop is still alive.
             for task in asyncio.all_tasks(self.loop):
                 task.cancel()
-            self.loop.call_soon(self.loop.stop)
+            self.loop.stop()
 
         self.loop.call_soon_threadsafe(shutdown)
         self.thread.join(timeout=10.0)
+        assert not self.thread.is_alive()
         self.service.close()
 
 
@@ -175,3 +187,70 @@ def test_http_unknown_route_is_404():
         assert raw.startswith(b"HTTP/1.0 404")
     finally:
         server.stop()
+
+
+def test_inline_answers_overtake_a_live_run_in_flight(tmp_path):
+    # A live run holds the worker thread; fit and surrogate answers on
+    # a second connection are computed on the loop meanwhile.  Live
+    # work routed onto the loop would block them until the release.
+    trials.make_surrogate_root(tmp_path)
+    before = transport_api.default_store()
+    transport_api.configure(str(tmp_path))
+    service = FitService(
+        executor=QueryExecutor(sleep=_no_sleep),
+        admission=AdmissionController(max_inflight=256),
+    )
+    started, release = threading.Event(), threading.Event()
+    execute = service.executor.execute
+
+    def held_live_execute(query):
+        if service.executor.needs_engine(query):
+            started.set()
+            assert release.wait(30.0)
+        return execute(query)
+
+    service.executor.execute = held_live_execute
+    server = _LiveServer(service)
+    live = {}
+
+    def live_client():
+        client = ServiceClient("127.0.0.1", server.port, timeout_s=60.0)
+        try:
+            live["body"] = client.query(
+                "transmission", {"shield": "water", "n_neutrons": 256}
+            )
+        finally:
+            client.close()
+
+    thread = threading.Thread(target=live_client)
+    thread.start()
+    try:
+        assert started.wait(30.0)
+        client = ServiceClient(
+            "127.0.0.1",
+            server.port,
+            timeout_s=10.0,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        try:
+            fit = client.query("fit", {"device": "K20", "site": "nyc"})
+            surrogate = client.query(
+                "transmission",
+                {
+                    "shield": "cadmium",
+                    "thickness_cm": trials.SURROGATE_THICKNESS_CM,
+                    "engine": "auto",
+                },
+            )
+        finally:
+            client.close()
+        assert "body" not in live
+    finally:
+        release.set()
+        thread.join(60.0)
+        server.stop()
+        transport_api.set_default_store(before)
+    assert not thread.is_alive()
+    assert fit["ok"] and fit["result"]["total_fit"] > 0
+    assert surrogate["provenance"]["engine"] == "surrogate"
+    assert live["body"]["provenance"]["engine"] == "batch"

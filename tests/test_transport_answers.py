@@ -21,7 +21,16 @@ solver must reproduce every answer exactly, iteration counts and
 balance residuals included.  It covers the shield-serve benchmark's
 thickness ladder, the service's shields, every material alone and
 over water (up to the mesh's cell cap), the three-layer stack and a
-fast beamline source.
+fast beamline source.  The ``service_responses`` block was written
+by the FIT service as it stood before queries that need no live
+engine were answered on the event loop: the response line, byte for
+byte, of every request an in-process service over the trial
+surrogate artifact and a result cache answers, in order.  It covers
+surrogate-served cadmium under ``auto`` and ``surrogate`` across the
+envelope (edges included), surrogate misses (a degraded fallback
+under ``surrogate``, a live answer under ``auto``), ``fit``,
+``cross-section`` and ``flux`` at every site, batch, deterministic
+and scalar answers, repeats that the cache serves, and an error.
 
 Regenerate only on purpose (a physics or sampling change), with::
 
@@ -38,10 +47,12 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+from repro.chaos import trials
 from repro.chaos.trials import make_surrogate_root
 from repro.detector.unfolding import response_matrix
-from repro.service.protocol import SHIELDS
+from repro.service.protocol import SERVICE_SITES, SHIELDS
 from repro.spectra.beamlines import chipir_spectrum, rotax_spectrum
+from repro.transport import api as transport_api
 from repro.transport import batch, materials
 from repro.transport.api import LIVE_CASCADE, TransportQuery, answer
 from repro.transport.batch import BatchTransportEngine
@@ -224,8 +235,191 @@ def _deterministic() -> dict:
     return answers
 
 
+#: Thicknesses of the surrogate-served requests: a log grid over the
+#: trial surface's envelope, and both edges nudged inside the
+#: envelope's relative slack.
+SURROGATE_ENVELOPE_CM = (0.025, 0.4)
+SURROGATE_REQUESTS = 20
+
+#: Accuracy targets the surrogate-served requests cycle through (the
+#: first is the wire default; every one is met inside the envelope).
+SERVED_ACCURACY = (
+    None,
+    {"rel_err": 0.1, "confidence": 0.9},
+    {"rel_err": 0.5, "confidence": 0.68},
+)
+
+#: Histories per live MC request (small: the lines pin bytes, not
+#: physics).
+SERVICE_LIVE_NEUTRONS = 256
+
+
+def _request(request_id, kind, params, accuracy=None) -> str:
+    body = {"id": request_id, "kind": kind, "params": params}
+    if accuracy is not None:
+        body.update(v=2, accuracy=accuracy)
+    return json.dumps(body, sort_keys=True)
+
+
+def _service_requests() -> list:
+    """Every request line the served-response block pins, in order."""
+    lines = []
+    lo, hi = SURROGATE_ENVELOPE_CM
+    thicknesses = [
+        lo * (hi / lo) ** (i / (SURROGATE_REQUESTS - 1))
+        for i in range(SURROGATE_REQUESTS)
+    ] + [lo * (1.0 - 5.0e-10), hi * (1.0 + 5.0e-10)]
+    for i, thickness_cm in enumerate(thicknesses):
+        for policy in ("auto", "surrogate"):
+            lines.append(
+                _request(
+                    f"surrogate/{policy}/{i}",
+                    "transmission",
+                    {
+                        "shield": "cadmium",
+                        "thickness_cm": thickness_cm,
+                        "engine": policy,
+                        "n_neutrons": SERVICE_LIVE_NEUTRONS,
+                    },
+                    SERVED_ACCURACY[i % len(SERVED_ACCURACY)],
+                )
+            )
+    misses = {
+        # Outside the envelope, too thin and too thick.
+        "thin": ({"thickness_cm": 0.02}, None),
+        "thick": ({"thickness_cm": 1.0}, None),
+        # A coverage the surface cannot certify.
+        "coverage": (
+            {"thickness_cm": 0.1},
+            {"rel_err": 0.05, "confidence": 0.999},
+        ),
+    }
+    for label, (params, accuracy) in misses.items():
+        for policy in ("auto", "surrogate"):
+            lines.append(
+                _request(
+                    f"miss/{policy}/{label}",
+                    "transmission",
+                    {
+                        "shield": "cadmium",
+                        "engine": policy,
+                        "n_neutrons": SERVICE_LIVE_NEUTRONS,
+                        **params,
+                    },
+                    accuracy,
+                )
+            )
+    lines.append(
+        _request(
+            "miss/surrogate/no-surface",
+            "transmission",
+            {
+                "shield": "water",
+                "engine": "surrogate",
+                "n_neutrons": SERVICE_LIVE_NEUTRONS,
+            },
+        )
+    )
+    for site in sorted(SERVICE_SITES):
+        lines.append(_request(f"flux/{site}", "flux", {"site": site}))
+        lines.append(
+            _request(
+                f"flux/{site}/room-rain-air",
+                "flux",
+                {
+                    "site": site,
+                    "room": True,
+                    "rain": True,
+                    "air_cooled": True,
+                },
+            )
+        )
+    fits = (
+        {"device": "K20", "site": "nyc", "room": True},
+        {"device": "K20", "code": "MxM", "site": "leadville"},
+        {"device": "TitanX", "site": "lanl", "room": True, "rain": True},
+        {"device": "XeonPhi", "code": "LUD", "site": "isis"},
+        {"device": "FPGA", "code": "MNIST", "site": "nyc", "rain": True},
+        {"device": "APU-GPU", "site": "leadville", "room": True},
+    )
+    for i, params in enumerate(fits):
+        lines.append(_request(f"fit/{i}", "fit", params))
+        lines.append(_request(f"cross-section/{i}", "cross-section", params))
+    live = (
+        ("batch/water", {"shield": "water", "engine": "batch"}),
+        (
+            "batch/concrete",
+            {"shield": "concrete", "engine": "batch", "seed": 7},
+        ),
+        ("batch/borated-poly", {"shield": "borated-poly"}),
+        (
+            "deterministic/water",
+            {"shield": "water", "engine": "deterministic"},
+        ),
+        (
+            "deterministic/cadmium",
+            {
+                "shield": "cadmium",
+                "thickness_cm": 0.1,
+                "engine": "deterministic",
+            },
+        ),
+        (
+            "scalar/cadmium",
+            {"shield": "cadmium", "engine": "scalar", "n_neutrons": 64},
+        ),
+    )
+    for label, params in live:
+        params = {"n_neutrons": SERVICE_LIVE_NEUTRONS, **params}
+        lines.append(_request(label, "transmission", params))
+    # Repeats the cache serves, and one it cannot (a miss under
+    # auto is answered live, and live answers are cached).
+    for label in ("batch/water", "deterministic/water", "miss/auto/thick"):
+        line = next(
+            line for line in lines if json.loads(line)["id"] == label
+        )
+        repeat = json.loads(line)
+        repeat["id"] = f"repeat/{label}"
+        lines.append(json.dumps(repeat, sort_keys=True))
+    lines.append(
+        _request("error/bad-shield", "transmission", {"shield": "lead"})
+    )
+    return lines
+
+
+def service_responses() -> list:
+    """Each request line with the response line the service sent.
+
+    One in-process service answers every line in order on one event
+    loop, with the trial surrogate artifact configured and a result
+    cache in a temporary directory.
+    """
+    lines = _service_requests()
+    before = transport_api.default_store()
+    with tempfile.TemporaryDirectory() as root:
+        make_surrogate_root(Path(root) / "surrogates")
+        transport_api.configure(str(Path(root) / "surrogates"))
+        service = trials.make_service(cache_dir=Path(root) / "cache")
+        try:
+            responses = trials.run_service_lines(service, lines)
+        finally:
+            service.close()
+            transport_api.set_default_store(before)
+    return [
+        {"request": line, "response": response}
+        for line, response in zip(lines, responses)
+    ]
+
+
 def compute() -> dict:
     """Every pinned number, computed by the code under test."""
+    pinned = _engine_numbers()
+    pinned["service_responses"] = service_responses()
+    return pinned
+
+
+def _engine_numbers() -> dict:
+    """Every pinned number except the service's response lines."""
     answers = {}
     for name, fields in _queries().items():
         for engine in LIVE_CASCADE:
@@ -262,7 +456,7 @@ def compute() -> dict:
 def test_answers_match_the_fixture_exactly():
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
     # Round-trip through JSON so tuples and floats compare as stored.
-    actual = json.loads(json.dumps(compute()))
+    actual = json.loads(json.dumps(_engine_numbers()))
     assert sorted(actual["answers"]) == sorted(expected["answers"])
     for key, pinned in expected["answers"].items():
         assert actual["answers"][key] == pinned, key
@@ -284,6 +478,36 @@ def test_answers_match_the_fixture_exactly():
     # Sharding over worker processes never changes a tally.
     tallies = actual["batch_tallies"]
     assert tallies["parallel/water"] == tallies["study/water"]
+
+
+def test_served_response_lines_match_the_fixture_byte_for_byte():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    pinned = expected["service_responses"]
+    actual = service_responses()
+    assert [e["request"] for e in actual] == [e["request"] for e in pinned]
+    for entry, pinned_entry in zip(actual, pinned):
+        assert entry["response"] == pinned_entry["response"], (
+            entry["request"]
+        )
+    # The block covers what it claims: surrogate-served answers,
+    # degraded fallbacks and cache hits.
+    bodies = {
+        json.loads(e["request"])["id"]: json.loads(e["response"])
+        for e in actual
+    }
+    served = [
+        b for i, b in bodies.items() if i.startswith("surrogate/")
+    ]
+    assert served and all(
+        b["provenance"]["engine"] == "surrogate" for b in served
+    )
+    assert bodies["miss/surrogate/thick"]["degraded"] is True
+    assert bodies["miss/auto/thick"]["provenance"]["engine"] == "batch"
+    for label in ("batch/water", "deterministic/water", "miss/auto/thick"):
+        assert bodies[label]["cached"] is False
+        assert bodies[f"repeat/{label}"]["cached"] is True
+        assert bodies[f"repeat/{label}"]["result"] == bodies[label]["result"]
+    assert bodies["error/bad-shield"]["ok"] is False
 
 
 def test_beamline_spectra_are_built_once_on_the_default_grid():

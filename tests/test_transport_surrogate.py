@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.chaos import trials
@@ -25,6 +27,7 @@ from repro.transport.surrogate.build import (
     log_grid,
 )
 from repro.transport.surrogate.surface import (
+    _LOG_FLOOR,
     ABS_SERVE_FLOOR,
     CHANNELS,
     FRACTION_CHANNELS,
@@ -252,6 +255,80 @@ def test_evaluate_serves_certified_bounds_and_balances(artifact):
         surface.predict("transmitted_thermal", 1.0e6)
     with pytest.raises(ValueError):
         surface.predict("no-such-channel", t_mid)
+
+
+# -- the memoised serve step against its plain form --------------------
+
+
+def _plain_predict(surface, channel, thickness_cm):
+    """``predict`` with both logs computed inline on every call: the
+    reference the memoised log tables must match bit for bit."""
+    grid = np.log(np.asarray(surface.thickness_cm))
+    values = np.asarray(surface.channels[channel], dtype=float)
+    logs = np.log(np.maximum(values, _LOG_FLOOR))
+    raw = float(np.exp(np.interp(math.log(thickness_cm), grid, logs)))
+    if raw <= 10.0 * _LOG_FLOOR:
+        raw = 0.0
+    if channel in FRACTION_CHANNELS:
+        return min(max(raw, 0.0), 1.0)
+    return max(raw, 0.0)
+
+
+def _plain_bound(surface, channel, confidence):
+    z = min(z_for_confidence.__wrapped__(confidence), surface.k_sigma)
+    return max(surface.gaps[channel], z * surface.sigmas[channel])
+
+
+def _plain_meets(surface, thickness_cm, rel_err, confidence):
+    if confidence > surface.confidence:
+        return False
+    predicted = _plain_predict(surface, surface.headline, thickness_cm)
+    allowed = max(rel_err * predicted, ABS_SERVE_FLOOR)
+    return _plain_bound(surface, surface.headline, confidence) <= allowed
+
+
+#: Coverages the serve step is checked at (the last is beyond the
+#: trial surface's certification).
+SERVE_CONFIDENCES = (0.5, 0.68, 0.9, 0.95, 0.99, 0.9999, 0.999999999)
+
+
+def test_memoised_serve_step_matches_the_plain_form_bit_for_bit(artifact):
+    surface = ResponseSurface.from_dict(artifact["surfaces"][0])
+    lo, hi = surface.thickness_cm[0], surface.thickness_cm[-1]
+    thicknesses = list(surface.thickness_cm) + [
+        lo * (1.0 - 5.0e-10),
+        hi * (1.0 + 5.0e-10),
+    ] + [lo * (hi / lo) ** (i / 40.0) for i in range(1, 40)]
+    for t in thicknesses:
+        served = surface.evaluate(t)
+        for channel in CHANNELS:
+            expected = _plain_predict(surface, channel, t).hex()
+            assert surface.predict(channel, t).hex() == expected
+            assert getattr(served, channel).hex() == expected
+        for confidence in SERVE_CONFIDENCES:
+            for rel_err in (0.01, 0.05, 0.5):
+                assert surface.meets(t, rel_err, confidence) is (
+                    _plain_meets(surface, t, rel_err, confidence)
+                )
+    for confidence in SERVE_CONFIDENCES:
+        assert z_for_confidence(confidence).hex() == (
+            z_for_confidence.__wrapped__(confidence).hex()
+        )
+        for channel in CHANNELS:
+            assert surface.certified_bound(channel, confidence).hex() == (
+                _plain_bound(surface, channel, confidence).hex()
+            )
+    # The log tables are not fields: a surface that has served equals
+    # a fresh one, and serializes (so digests) exactly as before.
+    fresh = ResponseSurface.from_dict(artifact["surfaces"][0])
+    assert surface == fresh
+    assert surface.to_dict() == fresh.to_dict() == artifact["surfaces"][0]
+    served_artifact = dict(artifact, surfaces=[surface.to_dict()])
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "transport-answers.json")
+        .read_text(encoding="utf-8")
+    )["surrogate_digest"]
+    assert payload_checksum(served_artifact) == pinned
 
 
 # -- the content-addressed store ---------------------------------------
