@@ -8,6 +8,8 @@ re-runs the identical command and proves the contract:
 * the write-ahead ledger replays clean — contiguous sequence
   numbers, one ``study-started``, one ``study-finished``, every
   shard committed exactly once;
+* no process of the killed run survives it: its shard-pool workers
+  exit on their own once their parent is gone;
 * the merged report is byte-identical to an uninterrupted run of the
   same spec in a fresh directory;
 * ``repro studies report`` rebuilds the same report from durable
@@ -40,6 +42,8 @@ SPEC = {
     "shard_size": 1,
 }
 KILL_ATTEMPTS = 5
+#: How long a killed run's pool workers may take to exit.
+ORPHAN_DEADLINE_S = 10.0
 
 
 def _env() -> dict:
@@ -64,11 +68,41 @@ def _run_args(workdir: Path, verb: str = "run") -> list:
     ]
 
 
+def _group(pgid: int) -> list:
+    """Running (not zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
+def _await_group_gone(pgid: int) -> None:
+    """Every process of the killed run must exit within the deadline."""
+    if not os.path.isdir("/proc"):
+        print("no /proc: cannot check for surviving processes")
+        return
+    deadline = time.monotonic() + ORPHAN_DEADLINE_S
+    while _group(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = _group(pgid)
+    assert not survivors, f"killed run's processes survive: {survivors}"
+
+
 def _kill_mid_run(workdir: Path) -> bool:
     """Start a run and SIGKILL it after its first durable record.
 
     Returns True when the kill landed mid-run (the usual case);
-    False when the child won the race and finished first.
+    False when the child won the race and finished first.  The run
+    leads its own process group, so its pool workers can be found
+    after it is gone.
     """
     ledger = workdir / "ledger.jsonl"
     proc = subprocess.Popen(
@@ -76,6 +110,7 @@ def _kill_mid_run(workdir: Path) -> bool:
         env=_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 120.0
@@ -88,6 +123,9 @@ def _kill_mid_run(workdir: Path) -> bool:
             time.sleep(0.002)
         if proc.poll() is not None:
             return False  # finished before the kill could land
+        workers = (
+            len(_group(proc.pid)) - 1 if os.path.isdir("/proc") else 0
+        )
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60.0)
     finally:
@@ -95,6 +133,8 @@ def _kill_mid_run(workdir: Path) -> bool:
             proc.kill()
             proc.wait()
     assert proc.returncode == -signal.SIGKILL, proc.returncode
+    _await_group_gone(proc.pid)
+    print(f"killed run left no process behind ({workers} pool workers)")
     return True
 
 

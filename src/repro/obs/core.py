@@ -45,6 +45,7 @@ __all__ = [
     "SPAN_HISTOGRAM",
     "Span",
     "active",
+    "detach",
     "enabled",
     "event",
     "inc",
@@ -318,6 +319,17 @@ def uninstall() -> None:
     global _active
     if _active is not None:
         _active.close()
+    _active = None
+
+
+def detach() -> None:
+    """Remove the installed observer *without* closing its sink.
+
+    For a forked worker: the observer it inherited writes to the
+    parent's open trace file, which only the parent may write,
+    flush or close.
+    """
+    global _active
     _active = None
 
 

@@ -109,6 +109,13 @@ METRICS: Dict[str, str] = {
     "repro_study_ledger_replays_total": (
         "study write-ahead-ledger replays"
     ),
+    "repro_study_pool_shards_total": (
+        "study shards whose first attempt a pool worker computed"
+    ),
+    "repro_study_pool_fallbacks_total": (
+        "study shards handed to a pool worker but evaluated in-process"
+        " (reason: broken-pool, changed-pick)"
+    ),
     "repro_surrogate_hits_total": (
         "transport queries served from a certified surrogate surface"
     ),
@@ -158,6 +165,9 @@ EVENTS: Dict[str, str] = {
     ),
     "service.shutdown": "the FIT service began graceful shutdown",
     "study.quarantine": "a poison study shard was quarantined",
+    "study.pool": (
+        "a study's worker pool broke; its shards run in-process"
+    ),
     "surrogate.artifact_quarantined": (
         "a corrupt surrogate artifact was quarantined"
     ),

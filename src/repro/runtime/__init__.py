@@ -17,7 +17,10 @@ campaigns the same resilience:
   byte-identical resume;
 * :mod:`repro.runtime.supervisor` — :class:`CampaignRunner` /
   :class:`FleetRunner`, the supervised drivers behind
-  ``python -m repro run --resume``.
+  ``python -m repro run --resume``;
+* :mod:`repro.runtime.forkpool` — ``fork`` process pools whose
+  workers exit when their parent dies (the service's ``--workers``
+  pool and a study's shard pool).
 
 This ``__init__`` re-exports only the leaf layers (errors, events,
 budgets) that low-level packages import; the supervisor and

@@ -44,6 +44,7 @@ from repro.faults.models import BeamKind, Outcome
 from repro.obs import core as obs
 from repro.runtime.budget import CircuitBreaker, RetryPolicy
 from repro.runtime.events import EventLog
+from repro.runtime.forkpool import fork_pool
 from repro.runtime.supervisor import Supervisor
 from repro.service.protocol import SERVICE_SITES, SHIELDS, Query
 from repro.spectra.beamlines import rotax_spectrum
@@ -228,7 +229,9 @@ class QueryExecutor:
     Args:
         n_workers: queries that need a live transport engine
             (:meth:`needs_engine`) dispatch to a ``fork`` process
-            pool of this size when > 1; every other query is cheap
+            pool of this size when > 1
+            (:func:`~repro.runtime.forkpool.fork_pool`: its workers
+            exit when the server dies); every other query is cheap
             and runs in-process.
         retry: transient-fault backoff policy around every dispatch.
         sleep: injectable backoff sleeper.
@@ -281,14 +284,9 @@ class QueryExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            import multiprocessing
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            # Spawn the workers eagerly so they inherit current
-            # process state (the chaos controller, for one).
+            self._pool = fork_pool(self.n_workers)
+            # Fork the workers now so they inherit current process
+            # state (the chaos controller, for one).
             self._pool.submit(_noop).result()
         return self._pool
 

@@ -21,14 +21,45 @@ to whole grids:
   walk batch -> deterministic -> scalar under repeated failures or
   budget pressure; every fallback is flagged on the shard in the
   report.
+
+**Who computes, who writes.**  Shards are independent, so a run
+evaluates their *first attempts* on a worker pool
+(:func:`~repro.runtime.forkpool.fork_pool`, one worker per usable
+CPU, at most one per pending shard) when all of these hold: two or
+more shards are pending, more than one CPU is usable, no other
+Python thread is running (``fork`` is only safe from a
+single-threaded process) and the evaluator is the library's own
+:func:`~repro.studies.evaluate.evaluate_shard`.
+A caller-supplied ``evaluate`` hook always runs in the caller's
+process, where its side effects belong.  The pool opens inside
+:meth:`StudyScheduler.run`, never in the constructor, and closes
+before it returns.
+
+Workers only compute.  The parent alone touches the ledger, the
+store, the breakers, the supervisor and the budget tracker, and it
+consumes results in plan order: each pending shard goes through the
+same ``_run_shard`` steps as in-process, and its first attempt,
+still behind the ``studies.shard_dispatch`` fault point, takes the
+worker's payload instead of evaluating.  A worker gets at most one
+shard at a time, with the engine the parent would pick at
+submission; the parent takes the payload only if it would pick that
+engine now.  Everything else evaluates in-process exactly as without
+a pool: a changed pick, every retry, every shard after a worker
+death breaks the pool, and every run with one usable CPU.  Ledger,
+store and report bytes therefore do not depend on the process count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from collections import deque
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Set, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.chaos.faultpoints import fault_point
 from repro.obs import core as obs
@@ -39,8 +70,10 @@ from repro.runtime.budget import (
     RetryPolicy,
 )
 from repro.runtime.events import EventLog
+from repro.runtime.forkpool import fork_pool
 from repro.runtime.supervisor import Supervisor
 from repro.runtime.errors import TransientHarnessError
+from repro.studies import evaluate as evaluation
 from repro.studies.evaluate import evaluate_shard
 from repro.studies.ledger import StudyLedger
 from repro.studies.report import StudyReport, build_report
@@ -49,6 +82,126 @@ from repro.studies.store import ShardResultStore
 from repro.transport.api import LIVE_CASCADE, pick_live_engine
 
 __all__ = ["StudyOutcome", "StudyScheduler"]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask).
+
+    1 where there is no affinity API (macOS, Windows), which keeps
+    studies in-process there: ``fork`` is missing or unsafe on both.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+#: A prefetched first attempt: the engine it was submitted with, and
+#: the worker's pending payload.
+_Prefetched = Tuple[str, Future]
+
+
+class _ShardPool:
+    """Upcoming shards' first attempts, evaluated on worker processes.
+
+    Keeps at most one shard per worker in flight, submitted in plan
+    order; the scheduler takes them back in the same order.
+
+    Args:
+        n_workers: pool size.
+        spec: the study (sent to workers with each shard).
+        shards: the pending shards, in plan order.
+        pick: the engine the scheduler would pick now.
+        stored: whether a shard's result is already in the store
+            (such a shard is committed from there, never computed).
+    """
+
+    def __init__(
+        self,
+        n_workers: int,
+        spec: StudySpec,
+        shards: List[Shard],
+        pick: Callable[[], str],
+        stored: Callable[[Shard], bool],
+    ) -> None:
+        self._executor = fork_pool(n_workers)
+        self._n_workers = n_workers
+        self._spec = spec
+        self._ahead = deque(shards)
+        self._pick = pick
+        self._stored = stored
+        self._inflight: Dict[int, _Prefetched] = {}
+
+    def take(self, shard: Shard) -> Optional[_Prefetched]:
+        """``shard``'s first attempt, if a worker has it."""
+        self._fill()
+        return self._inflight.pop(shard.index, None)
+
+    def collect(
+        self, prefetched: _Prefetched, engine: str
+    ) -> Optional[dict]:
+        """The worker's payload, or ``None`` to evaluate in-process.
+
+        ``None`` when the payload was computed with another engine
+        than ``engine`` or the pool broke; a worker's own exception
+        is raised here, as an in-process attempt would raise it.
+        """
+        submitted, future = prefetched
+        if submitted != engine:
+            future.cancel()
+            obs.inc(
+                "repro_study_pool_fallbacks_total", reason="changed-pick"
+            )
+            return None
+        try:
+            payload = future.result()
+        except BrokenProcessPool:
+            self._break()
+            return None
+        finally:
+            self._fill()
+        obs.inc("repro_study_pool_shards_total")
+        return payload
+
+    def close(self) -> None:
+        """Shut the pool down; in-flight shards finish, unused."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+    def _fill(self) -> None:
+        """Give every idle worker the next shard in plan order."""
+        while (
+            self._executor is not None
+            and self._ahead
+            and len(self._inflight) < self._n_workers
+        ):
+            shard = self._ahead.popleft()
+            if self._stored(shard):
+                continue
+            engine = self._pick()
+            try:
+                future = self._executor.submit(
+                    evaluation.evaluate_shard, shard, self._spec, engine
+                )
+            except BrokenProcessPool:
+                self._break()
+                return
+            self._inflight[shard.index] = (engine, future)
+
+    def _break(self) -> None:
+        """A worker died: the shard at hand, every shard in flight and
+        the rest of the run evaluate in-process."""
+        lost = 1 + len(self._inflight)
+        obs.event("study.pool", state="broken", lost=lost)
+        obs.inc(
+            "repro_study_pool_fallbacks_total",
+            lost,
+            reason="broken-pool",
+        )
+        self._inflight.clear()
+        self._ahead.clear()
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -84,7 +237,8 @@ class StudyScheduler:
         interrupt: polled between shards; returning True stops the
             run cleanly (``incomplete``, ``interrupted`` flagged).
         evaluate: shard evaluation hook (tests and chaos trials
-            inject failures); defaults to the real evaluator.
+            inject failures); defaults to the real evaluator.  A
+            hook always runs in this process, never on the pool.
         max_shards: stop after committing/quarantining this many
             shards this run (``None`` = no limit) — the smoke jobs'
             deterministic mid-run stop.
@@ -135,6 +289,7 @@ class StudyScheduler:
         self._committed: Dict[int, dict] = {}
         self._failures: Dict[int, int] = {}
         self._quarantined: Set[int] = set()
+        self._pool: Optional[_ShardPool] = None
 
     # -- the run -------------------------------------------------------
 
@@ -165,26 +320,19 @@ class StudyScheduler:
                 if self.budget is not None
                 else None
             )
-            interrupted = False
-            resolved_this_run = 0
-            for shard in self.spec.shards():
-                if (
-                    shard.index in self._committed
-                    or shard.index in self._quarantined
-                ):
-                    continue
-                if self._interrupt is not None and self._interrupt():
-                    interrupted = True
-                    break
-                if tracker is not None and tracker.deadline_exceeded():
-                    break
-                if (
-                    self._max_shards is not None
-                    and resolved_this_run >= self._max_shards
-                ):
-                    break
-                self._run_shard(shard, tracker)
-                resolved_this_run += 1
+            pending = [
+                shard
+                for shard in self.spec.shards()
+                if shard.index not in self._committed
+                and shard.index not in self._quarantined
+            ]
+            self._pool = self._open_pool(pending, tracker)
+            try:
+                interrupted = self._run_pending(pending, tracker)
+            finally:
+                if self._pool is not None:
+                    self._pool.close()
+                    self._pool = None
             report = build_report(
                 self.spec, self._replayed_state(), self.store
             )
@@ -201,9 +349,49 @@ class StudyScheduler:
                 report=report,
             )
 
+    def _run_pending(
+        self, pending: List[Shard], tracker: Optional[BudgetTracker]
+    ) -> bool:
+        """Resolve ``pending`` in plan order until done or stopped;
+        True when the interrupt callback stopped the run."""
+        for resolved_this_run, shard in enumerate(pending):
+            if self._interrupt is not None and self._interrupt():
+                return True
+            if tracker is not None and tracker.deadline_exceeded():
+                break
+            if (
+                self._max_shards is not None
+                and resolved_this_run >= self._max_shards
+            ):
+                break
+            self._run_shard(shard, tracker)
+        return False
+
     def _replayed_state(self):
         """Fresh durable view (what a resume would actually see)."""
         return self.ledger.replay()
+
+    def _open_pool(
+        self, pending: List[Shard], tracker: Optional[BudgetTracker]
+    ) -> Optional[_ShardPool]:
+        """A worker pool for ``pending``'s first attempts, or ``None``
+        to evaluate them all in-process (see module docstring)."""
+        n_workers = min(_usable_cpus(), len(pending))
+        if (
+            n_workers < 2
+            or threading.active_count() > 1
+            or self._evaluate is not evaluation.evaluate_shard
+        ):
+            return None
+        return _ShardPool(
+            n_workers,
+            self.spec,
+            pending,
+            pick=lambda: self._pick_engine(tracker)[0],
+            stored=lambda shard: self.store.entry_path(
+                self.spec.shard_key(shard)
+            ).exists(),
+        )
 
     # -- one shard -----------------------------------------------------
 
@@ -213,6 +401,9 @@ class StudyScheduler:
         """Drive one shard to committed or quarantined."""
         key = self.spec.shard_key(shard)
         failures = self._failures.get(shard.index, 0)
+        prefetched = (
+            self._pool.take(shard) if self._pool is not None else None
+        )
         while True:
             stored = self.store.get(key)
             if stored is not None:
@@ -222,10 +413,15 @@ class StudyScheduler:
                 self._commit(shard, key, stored)
                 return
             engine, reason = self._pick_engine(tracker)
+            # Only the first attempt may take a worker's payload.
+            first = iter((prefetched,))
+            prefetched = None
             try:
                 payload = self._supervisor.call(
                     f"shard-{shard.index}",
-                    lambda: self._dispatch(shard, engine),
+                    lambda: self._dispatch(
+                        shard, engine, next(first, None)
+                    ),
                     step=shard.index,
                 )
             except (KeyboardInterrupt, SystemExit):
@@ -251,8 +447,14 @@ class StudyScheduler:
                 self._quarantine(shard, failures)
                 return
 
-    def _dispatch(self, shard: Shard, engine: str) -> dict:
-        """One evaluation attempt (the chaos dispatch window)."""
+    def _dispatch(
+        self,
+        shard: Shard,
+        engine: str,
+        prefetched: Optional[_Prefetched] = None,
+    ) -> dict:
+        """One evaluation attempt (the chaos dispatch window); takes
+        a worker's ``prefetched`` payload when it is usable."""
         with obs.span(
             "study.shard", shard=shard.index, engine=engine
         ):
@@ -261,6 +463,10 @@ class StudyScheduler:
                 shard=shard.index,
                 engine=engine,
             )
+            if prefetched is not None and self._pool is not None:
+                payload = self._pool.collect(prefetched, engine)
+                if payload is not None:
+                    return payload
             return self._evaluate(shard, self.spec, engine)
 
     def _pick_engine(
