@@ -10,16 +10,20 @@ uninstrumented process must pay only a module-global read plus a
   benchmark workload (1e5 histories; fewer under ``REPRO_SMOKE=1``)
   costs <= 5 % wall time versus the unobserved run — spans sit at
   step/run granularity, never in per-neutron loops, so the overhead
-  is fixed, not proportional.
+  is fixed, not proportional.  Unobserved and observed runs
+  alternate in pairs, and the gate reads the median of the per-pair
+  ratios: a ratio of two short runs swings by tens of percent on a
+  shared host, and pairing cancels the drift between them.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from conftest import run_once
-from repro.obs.core import Observer, enabled, inc, observing, span
+from repro.obs.core import Observer, detach, enabled, inc, install, span
 from repro.obs.metrics import MetricsRegistry
 from repro.transport import WATER
 from repro.transport.api import TransportQuery, answer
@@ -29,11 +33,14 @@ N_CALLS = 200_000
 _SOURCE_ENERGY_EV = 1.0e6
 _THICKNESS_CM = 5.0
 
-#: Enabled-overhead gate: observed / unobserved wall-time ratio.  The
-#: margin above the 1.05 acceptance bar absorbs timer jitter on the
-#: short smoke workload; the workload itself keeps the measured
-#: overhead well below it.
+#: Enabled-overhead gate: the median over pairs of the observed /
+#: unobserved wall-time ratio.
 _MAX_ENABLED_RATIO = 1.05
+
+#: Unobserved/observed run pairs the enabled gate times.  On a shared
+#: 2-vCPU host the smoke median over 21 pairs read 0.995-1.051 (and
+#: once 1.228) across 30 processes; over 41 it read 1.000-1.022.
+_PAIRS = 41
 
 
 def _span_many() -> int:
@@ -96,22 +103,43 @@ def _transport_run(n_histories: int) -> float:
 
 def _measure_overhead(tmp_path, smoke: bool) -> dict:
     n_histories = 5_000 if smoke else 100_000
-    # Warm-up outside both timed runs (imports, worker pools).
+    # Warm-up outside every timed run (imports, worker pools).
     _transport_run(1_000)
-    baseline_s = min(_transport_run(n_histories) for _ in range(2))
     observer = Observer(
         trace_path=tmp_path / "trace.jsonl",
         registry=MetricsRegistry(),
     )
-    with observing(observer):
-        observed_s = min(
-            _transport_run(n_histories) for _ in range(2)
-        )
+
+    def observed_run() -> float:
+        install(observer)
+        try:
+            return _transport_run(n_histories)
+        finally:
+            # Detach, not uninstall: uninstalling closes the trace
+            # sink, and reopening it for every run would charge each
+            # one a cost an observed process pays once.
+            detach()
+
+    baseline_s, observed_s = [], []
+    try:
+        for pair in range(_PAIRS):
+            # Alternate which run goes first, so neither side always
+            # runs second.
+            if pair % 2:
+                observed_s.append(observed_run())
+                baseline_s.append(_transport_run(n_histories))
+            else:
+                baseline_s.append(_transport_run(n_histories))
+                observed_s.append(observed_run())
+    finally:
+        observer.close()
+    ratios = [o / b for o, b in zip(observed_s, baseline_s)]
     return {
         "n_histories": n_histories,
-        "baseline_s": baseline_s,
-        "observed_s": observed_s,
-        "ratio": observed_s / baseline_s,
+        "baseline_s": statistics.median(baseline_s),
+        "observed_s": statistics.median(observed_s),
+        "ratios": ratios,
+        "ratio": statistics.median(ratios),
     }
 
 
@@ -121,10 +149,12 @@ def test_bench_enabled_overhead(benchmark, announce, tmp_path):
 
     announce(
         "obs on (trace + metrics): "
-        f"{payload['n_histories']} histories, "
-        f"baseline {payload['baseline_s']:.3f} s, "
-        f"observed {payload['observed_s']:.3f} s, "
-        f"ratio {payload['ratio']:.3f}"
+        f"{payload['n_histories']} histories, {_PAIRS} pairs, "
+        f"median baseline {payload['baseline_s']:.3f} s, "
+        f"median observed {payload['observed_s']:.3f} s, "
+        f"pair ratios {min(payload['ratios']):.3f}"
+        f"-{max(payload['ratios']):.3f}, "
+        f"median ratio {payload['ratio']:.3f}"
     )
     assert payload["ratio"] <= _MAX_ENABLED_RATIO, (
         f"enabled observability overhead {payload['ratio']:.3f}x"

@@ -38,7 +38,8 @@ SCHEMA_VERSIONS = {
     # One beam exposure: outcome counts, fluence and the robustness
     # fields (isolated crashes, degraded fidelity).
     "exposure": 2,
-    # A live Monte Carlo transport tally (counts per channel).
+    # A TransportResult from a Monte Carlo engine (counts per
+    # channel).
     "transport": 1,
     # The chaos harness's verdict matrix.
     "chaos-report": 2,
@@ -50,8 +51,8 @@ SCHEMA_VERSIONS = {
     # Durable on-disk result-cache entries (carry their own SHA-256
     # payload checksum).
     "service-cache-entry": 1,
-    # The deterministic engine's noise-free counterpart to
-    # "transport" (fractions instead of counts).
+    # A TransportResult from the deterministic engine (noise-free
+    # fractions per source neutron).
     "deterministic-transport": 1,
     # Group-collapsed cross-section tables (the golden-test payload
     # for the condensation step).
@@ -68,8 +69,8 @@ SCHEMA_VERSIONS = {
     # Certified surrogate response-surface bundles (carry their own
     # SHA-256 payload checksum).
     "surrogate-artifact": 1,
-    # A surface-served transport answer (fractions plus certified
-    # per-channel bounds).
+    # A TransportResult served from a surrogate surface (fractions
+    # plus certified per-channel bounds).
     "surrogate-transport": 1,
 }
 

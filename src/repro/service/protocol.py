@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -403,12 +404,11 @@ def _parse_accuracy(
     for name, value in (
         ("rel_err", rel_err), ("confidence", confidence)
     ):
-        if not isinstance(value, (int, float)) or isinstance(
-            value, bool
-        ):
+        if not _is_finite_number(value):
             raise ServiceError(
                 "bad-request",
-                f"accuracy.{name} must be a number, got {value!r}",
+                f"accuracy.{name} must be a finite number,"
+                f" got {value!r}",
                 request_id,
             )
     if not 0.0 < float(rel_err) <= 1.0:
@@ -503,14 +503,11 @@ def parse_request(data: dict, plans: Dict[str, dict]) -> Request:
     timeout_s = None
     if data.get("timeout_ms") is not None:
         raw = data["timeout_ms"]
-        if (
-            not isinstance(raw, (int, float))
-            or isinstance(raw, bool)
-            or raw <= 0
-        ):
+        if not _is_finite_number(raw) or raw <= 0:
             raise ServiceError(
                 "bad-request",
-                f"timeout_ms must be a positive number, got {raw!r}",
+                "timeout_ms must be a positive finite number,"
+                f" got {raw!r}",
                 request_id,
             )
         timeout_s = float(raw) / 1000.0
@@ -573,13 +570,29 @@ def _flag(params: dict, name: str) -> bool:
     return value
 
 
+def _is_finite_number(value: object) -> bool:
+    """True for a JSON number that is a finite float.
+
+    ``json.loads`` accepts ``NaN``, ``Infinity`` and ``1e400`` (read
+    as ``inf``), and integers of any size.  None is a usable
+    parameter, and ``NaN`` slips through range checks such as
+    ``value <= 0.0``, which are false for it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _number(params: dict, name: str, default: float) -> float:
     """Read an optional numeric parameter strictly."""
     value = params.get(name, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_finite_number(value):
         raise ServiceError(
             "bad-request",
-            f"{name} must be a number, got {value!r}",
+            f"{name} must be a finite number, got {value!r}",
         )
     return float(value)
 

@@ -31,7 +31,6 @@ from repro.transport.analytic import (
 )
 from repro.transport.multigroup import (
     DeterministicTransportEngine,
-    DeterministicTransportResult,
     GroupStructure,
     fine_structure,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "diffusion_length_cm",
     "uncollided_transmission",
     "DeterministicTransportEngine",
-    "DeterministicTransportResult",
     "GroupStructure",
     "fine_structure",
     "TransportResult",

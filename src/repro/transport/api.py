@@ -17,6 +17,7 @@ source of truth for "batch is unavailable, what now?".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
@@ -41,6 +42,7 @@ from repro.transport.surrogate.surface import (
     mono_source_key,
     spectrum_source_key,
 )
+from repro.transport.tallies import TransportResult
 
 __all__ = [
     "ENGINE_POLICIES",
@@ -224,9 +226,9 @@ class TransportQuery:
                 "give exactly one of"
                 " source_spectrum/source_energy_ev"
             )
-        if self.thickness_cm <= 0.0:
+        if not 0.0 < self.thickness_cm < math.inf:
             raise ConfigurationError(
-                f"thickness must be positive,"
+                "thickness must be finite and positive,"
                 f" got {self.thickness_cm}"
             )
         if self.n_neutrons < 1:
@@ -287,15 +289,9 @@ class Provenance:
 
 @dataclass(frozen=True)
 class TransportAnswer:
-    """A transport result plus its provenance stamp.
+    """A transport result plus its provenance stamp."""
 
-    ``result`` quacks like the engine results (``TransportResult`` /
-    ``DeterministicTransportResult`` / surrogate): the shared
-    accessors (``thermal_transmission_fraction``, ``thermal_albedo``,
-    ...) all work.
-    """
-
-    result: object
+    result: TransportResult
     provenance: Provenance
     mode: str = "transmission"
 
@@ -338,7 +334,7 @@ def default_store() -> Optional[SurrogateStore]:
 # -- the facade --------------------------------------------------------
 
 
-def _run_live(query: TransportQuery, engine: str):
+def _run_live(query: TransportQuery, engine: str) -> TransportResult:
     """Run one live engine on a one-layer slab seeded by the query.
 
     The only code that maps a live-engine name to an engine.  The
@@ -491,8 +487,6 @@ def answer(
         # is still worth surfacing.
         degraded = True
         reason = cascade_reason
-    # Every engine's result has both stderr accessors: binomial for
-    # the MC engines, 0.0 for the deterministic solver.
     if query.mode == "albedo":
         stderr = result.thermal_albedo_stderr()
     else:

@@ -19,10 +19,7 @@ from repro.transport.multigroup.groups import (
     STRUCTURES,
     fine_structure,
 )
-from repro.transport.multigroup.solver import (
-    DeterministicTransportEngine,
-    DeterministicTransportResult,
-)
+from repro.transport.multigroup.solver import DeterministicTransportEngine
 
 __all__ = [
     "CollapsedMaterial",
@@ -33,5 +30,4 @@ __all__ = [
     "STRUCTURES",
     "fine_structure",
     "DeterministicTransportEngine",
-    "DeterministicTransportResult",
 ]

@@ -43,12 +43,10 @@ observable via the ``transport.deterministic`` span and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import serde
 from repro.obs import core as obs
 from repro.physics.constants import BOLTZMANN_EV_PER_K, ROOM_TEMPERATURE_K
 from repro.runtime.errors import (
@@ -67,11 +65,9 @@ from repro.transport.multigroup.groups import (
     GroupStructure,
     fine_structure,
 )
+from repro.transport.tallies import TransportResult
 
-__all__ = [
-    "DeterministicTransportEngine",
-    "DeterministicTransportResult",
-]
+__all__ = ["DeterministicTransportEngine"]
 
 #: Target optical thickness per mesh cell (at the most opaque group).
 _TAU_TARGET = 0.25
@@ -86,158 +82,12 @@ _BLOCK_ROWS = 64
 #: Strict-lower-triangle mask of a block's diagonal square.
 _BLOCK_LOWER = np.tri(_BLOCK_ROWS, _BLOCK_ROWS - 1, k=-1)
 
-#: Balance slack accepted by ``balance_check`` — iteration residual,
-#: not statistical noise.
-_BALANCE_TOL = 1.0e-6
-
 
 def _sum_ordinates(terms: np.ndarray, out: np.ndarray) -> None:
     """Write ``terms.sum(axis=0)`` to ``out``, adding in index order."""
     out[...] = terms[0]
     for term in terms[1:]:
         out += term
-
-
-@dataclass(frozen=True)
-class DeterministicTransportResult:
-    """Noise-free analogue of :class:`TransportResult`.
-
-    Channels are *fractions per source neutron* (``source`` is 1.0 by
-    construction) instead of the MC engines' integer counts, but every
-    accessor of :class:`~repro.transport.tallies.TransportResult` is
-    mirrored so downstream consumers (shielding evaluator, service,
-    CLI) work unchanged; the statistical-error accessors return 0.
-
-    Attributes:
-        iterations: total within-group source iterations performed.
-        balance_residual: ``|1 - (transmitted + reflected +
-            absorbed)|`` — bounded by the iteration tolerance.
-        absorbed_by_layer: absorbed fraction per geometry layer.
-    """
-
-    source: float
-    transmitted_thermal: float
-    transmitted_epithermal: float
-    transmitted_fast: float
-    reflected_thermal: float
-    reflected_epithermal: float
-    reflected_fast: float
-    absorbed: float
-    collisions: float
-    absorbed_by_material: Dict[str, float]
-    absorbed_by_layer: Tuple[float, ...]
-    iterations: int
-    balance_residual: float
-
-    # -- serde ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Plain-dict form tagged ``deterministic-transport``."""
-        return serde.tag(
-            "deterministic-transport",
-            {
-                "source": self.source,
-                "transmitted_thermal": self.transmitted_thermal,
-                "transmitted_epithermal": (
-                    self.transmitted_epithermal
-                ),
-                "transmitted_fast": self.transmitted_fast,
-                "reflected_thermal": self.reflected_thermal,
-                "reflected_epithermal": self.reflected_epithermal,
-                "reflected_fast": self.reflected_fast,
-                "absorbed": self.absorbed,
-                "collisions": self.collisions,
-                "absorbed_by_material": dict(
-                    self.absorbed_by_material
-                ),
-                "absorbed_by_layer": list(self.absorbed_by_layer),
-                "iterations": self.iterations,
-                "balance_residual": self.balance_residual,
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeterministicTransportResult":
-        """Rebuild from :meth:`to_dict` output."""
-        serde.check("deterministic-transport", data)
-        return cls(
-            source=float(data["source"]),
-            transmitted_thermal=float(data["transmitted_thermal"]),
-            transmitted_epithermal=float(
-                data["transmitted_epithermal"]
-            ),
-            transmitted_fast=float(data["transmitted_fast"]),
-            reflected_thermal=float(data["reflected_thermal"]),
-            reflected_epithermal=float(
-                data["reflected_epithermal"]
-            ),
-            reflected_fast=float(data["reflected_fast"]),
-            absorbed=float(data["absorbed"]),
-            collisions=float(data["collisions"]),
-            absorbed_by_material={
-                str(k): float(v)
-                for k, v in data.get(
-                    "absorbed_by_material", {}
-                ).items()
-            },
-            absorbed_by_layer=tuple(
-                float(v) for v in data.get("absorbed_by_layer", ())
-            ),
-            iterations=int(data["iterations"]),
-            balance_residual=float(data["balance_residual"]),
-        )
-
-    # -- TransportResult-compatible accessors --------------------------
-
-    @property
-    def transmitted(self) -> float:
-        """Fraction leaving through the far face (any energy)."""
-        return (
-            self.transmitted_thermal
-            + self.transmitted_epithermal
-            + self.transmitted_fast
-        )
-
-    @property
-    def reflected(self) -> float:
-        """Fraction leaving back through the entry face."""
-        return (
-            self.reflected_thermal
-            + self.reflected_epithermal
-            + self.reflected_fast
-        )
-
-    def transmission_fraction(self) -> float:
-        """Fraction of source neutrons transmitted (any energy)."""
-        return self.transmitted
-
-    def thermal_transmission_fraction(self) -> float:
-        """Fraction transmitted below the cadmium cutoff."""
-        return self.transmitted_thermal
-
-    def thermal_albedo(self) -> float:
-        """Fraction reflected back as thermal neutrons."""
-        return self.reflected_thermal
-
-    def thermal_albedo_stderr(self) -> float:
-        """Zero: deterministic answers carry no statistical error."""
-        return 0.0
-
-    def thermal_transmission_stderr(self) -> float:
-        """Zero: deterministic answers carry no statistical error."""
-        return 0.0
-
-    def absorption_fraction(self) -> float:
-        """Fraction absorbed anywhere in the stack."""
-        return self.absorbed
-
-    def mean_collisions(self) -> float:
-        """Expected collisions per source neutron."""
-        return self.collisions
-
-    def balance_check(self) -> bool:
-        """True if the stack conserves neutrons to iteration slack."""
-        return self.balance_residual <= _BALANCE_TOL
 
 
 class DeterministicTransportEngine:
@@ -457,12 +307,14 @@ class DeterministicTransportEngine:
         self,
         source_energy_ev: Optional[float] = None,
         source_spectrum: Optional[Spectrum] = None,
-    ) -> DeterministicTransportResult:
+    ) -> TransportResult:
         """Solve the slab for a normal-incidence beam source.
 
         Exactly one of ``source_energy_ev`` / ``source_spectrum``
         must be given — the same contract as the MC engines' ``run``,
-        minus the history count (the answer is per source neutron).
+        minus the history count.  The answer is a
+        ``deterministic-transport`` :class:`TransportResult`:
+        fractions per source neutron, with no statistical error.
 
         Raises:
             repro.runtime.errors.ConvergenceError: if any group's
@@ -502,7 +354,7 @@ class DeterministicTransportEngine:
         self,
         source_energy_ev: Optional[float],
         source_spectrum: Optional[Spectrum],
-    ) -> DeterministicTransportResult:
+    ) -> TransportResult:
         layers = self.geometry.layers
         n_layers = len(layers)
         n_groups = self.structure.n_groups
@@ -631,7 +483,8 @@ class DeterministicTransportEngine:
                 + absorbed
             )
         )
-        return DeterministicTransportResult(
+        return TransportResult(
+            kind="deterministic-transport",
             source=1.0,
             transmitted_thermal=transmitted["thermal"],
             transmitted_epithermal=transmitted["epithermal"],

@@ -15,18 +15,13 @@ from repro.transport.surrogate.build import (
     default_surface_specs,
 )
 from repro.transport.surrogate.store import SurrogateStore
-from repro.transport.surrogate.surface import (
-    CHANNELS,
-    ResponseSurface,
-    SurrogateTransportResult,
-)
+from repro.transport.surrogate.surface import CHANNELS, ResponseSurface
 
 __all__ = [
     "CHANNELS",
     "ResponseSurface",
     "SurfaceSpec",
     "SurrogateStore",
-    "SurrogateTransportResult",
     "build_artifact",
     "default_surface_specs",
 ]

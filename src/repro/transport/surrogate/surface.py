@@ -18,32 +18,21 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro import serde
 from repro.spectra.spectrum import Spectrum
+from repro.transport.tallies import (
+    CHANNELS,
+    FRACTION_CHANNELS,
+    TransportResult,
+)
 
 __all__ = [
     "CHANNELS",
     "FRACTION_CHANNELS",
     "ResponseSurface",
-    "SurrogateTransportResult",
     "mono_source_key",
     "spectrum_source_key",
     "z_for_confidence",
 ]
-
-#: Every channel a surface carries, in canonical order.  The first
-#: seven are fractions per source neutron; ``collisions`` is a mean
-#: count per source neutron (may exceed 1).
-FRACTION_CHANNELS = (
-    "transmitted_thermal",
-    "transmitted_epithermal",
-    "transmitted_fast",
-    "reflected_thermal",
-    "reflected_epithermal",
-    "reflected_fast",
-    "absorbed",
-)
-CHANNELS = FRACTION_CHANNELS + ("collisions",)
 
 #: Headline channel per surface mode — the number callers actually
 #: consume, whose certified bound gates serving.
@@ -109,126 +98,6 @@ def spectrum_source_key(spectrum: Spectrum) -> str:
 def mono_source_key(energy_ev: float) -> str:
     """Content key for a monoenergetic source."""
     return f"mono:{float(energy_ev)!r}"
-
-
-@dataclass(frozen=True)
-class SurrogateTransportResult:
-    """A surface-served answer, accessor-compatible with the engines.
-
-    Channels are fractions per source neutron (``source`` is 1.0),
-    mirroring ``DeterministicTransportResult``; the ``*_stderr``
-    accessors return the surface's *certified bound* for the channel
-    — an honest error bar, unlike the deterministic engine's zero.
-    """
-
-    source: float
-    transmitted_thermal: float
-    transmitted_epithermal: float
-    transmitted_fast: float
-    reflected_thermal: float
-    reflected_epithermal: float
-    reflected_fast: float
-    absorbed: float
-    collisions: float
-    bounds: Dict[str, float]
-
-    def to_dict(self) -> dict:
-        """Plain-dict form tagged ``surrogate-transport``."""
-        return serde.tag(
-            "surrogate-transport",
-            {
-                "source": self.source,
-                "transmitted_thermal": self.transmitted_thermal,
-                "transmitted_epithermal": (
-                    self.transmitted_epithermal
-                ),
-                "transmitted_fast": self.transmitted_fast,
-                "reflected_thermal": self.reflected_thermal,
-                "reflected_epithermal": self.reflected_epithermal,
-                "reflected_fast": self.reflected_fast,
-                "absorbed": self.absorbed,
-                "collisions": self.collisions,
-                "bounds": dict(self.bounds),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurrogateTransportResult":
-        """Rebuild from :meth:`to_dict` output."""
-        serde.check("surrogate-transport", data)
-        return cls(
-            source=float(data["source"]),
-            transmitted_thermal=float(data["transmitted_thermal"]),
-            transmitted_epithermal=float(
-                data["transmitted_epithermal"]
-            ),
-            transmitted_fast=float(data["transmitted_fast"]),
-            reflected_thermal=float(data["reflected_thermal"]),
-            reflected_epithermal=float(data["reflected_epithermal"]),
-            reflected_fast=float(data["reflected_fast"]),
-            absorbed=float(data["absorbed"]),
-            collisions=float(data["collisions"]),
-            bounds={
-                str(k): float(v)
-                for k, v in data.get("bounds", {}).items()
-            },
-        )
-
-    # -- TransportResult-compatible accessors --------------------------
-
-    @property
-    def transmitted(self) -> float:
-        """Total transmitted fraction (any energy)."""
-        return (
-            self.transmitted_thermal
-            + self.transmitted_epithermal
-            + self.transmitted_fast
-        )
-
-    @property
-    def reflected(self) -> float:
-        """Total reflected fraction (any energy)."""
-        return (
-            self.reflected_thermal
-            + self.reflected_epithermal
-            + self.reflected_fast
-        )
-
-    def transmission_fraction(self) -> float:
-        """Fraction of source neutrons transmitted (any energy)."""
-        return self.transmitted
-
-    def thermal_transmission_fraction(self) -> float:
-        """Fraction transmitted below the cadmium cutoff."""
-        return self.transmitted_thermal
-
-    def thermal_albedo(self) -> float:
-        """Fraction reflected back as thermal neutrons."""
-        return self.reflected_thermal
-
-    def thermal_albedo_stderr(self) -> float:
-        """Certified bound on :meth:`thermal_albedo`."""
-        return self.bounds.get("reflected_thermal", 0.0)
-
-    def thermal_transmission_stderr(self) -> float:
-        """Certified bound on :meth:`thermal_transmission_fraction`."""
-        return self.bounds.get("transmitted_thermal", 0.0)
-
-    def absorption_fraction(self) -> float:
-        """Fraction absorbed anywhere in the stack."""
-        return self.absorbed
-
-    def mean_collisions(self) -> float:
-        """Average collisions per source neutron."""
-        return self.collisions
-
-    def balance_check(self) -> bool:
-        """Leakage + absorption within interpolation slack of 1."""
-        total = self.transmitted + self.reflected + self.absorbed
-        slack = sum(
-            self.bounds.get(c, 0.0) for c in FRACTION_CHANNELS
-        )
-        return abs(total - 1.0) <= max(slack, 1.0e-3)
 
 
 @dataclass(frozen=True)
@@ -366,14 +235,18 @@ class ResponseSurface:
             return min(max(raw, 0.0), 1.0)
         return max(raw, 0.0)
 
-    def evaluate(self, thickness_cm: float) -> SurrogateTransportResult:
-        """Interpolate every channel into a served result."""
+    def evaluate(self, thickness_cm: float) -> TransportResult:
+        """Interpolate every channel into a ``surrogate-transport``
+        result that carries the per-channel certified bounds."""
         values = {
             channel: self.predict(channel, thickness_cm)
             for channel in CHANNELS
         }
-        return SurrogateTransportResult(
-            source=1.0, bounds=self.bounds, **values
+        return TransportResult(
+            kind="surrogate-transport",
+            source=1.0,
+            bounds=self.bounds,
+            **values,
         )
 
     # -- the accuracy contract -----------------------------------------

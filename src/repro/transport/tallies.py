@@ -1,12 +1,42 @@
-"""Tallies and results for the slowing-down Monte Carlo."""
+"""Monte Carlo tallies and the result type every transport engine
+returns."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro import serde
+
+#: Every channel a result carries, in canonical order.  The first
+#: seven are counts or fractions per source neutron; ``collisions``
+#: is a count or a mean count per source neutron (may exceed 1).
+FRACTION_CHANNELS = (
+    "transmitted_thermal",
+    "transmitted_epithermal",
+    "transmitted_fast",
+    "reflected_thermal",
+    "reflected_epithermal",
+    "reflected_fast",
+    "absorbed",
+)
+CHANNELS = FRACTION_CHANNELS + ("collisions",)
+
+#: The serde kinds a result is written as: Monte Carlo counts,
+#: deterministic fractions, certified-surface fractions.
+_KINDS = (
+    "transport",
+    "deterministic-transport",
+    "surrogate-transport",
+)
+
+#: Balance slack of a deterministic answer: iteration residual, not
+#: statistical noise.
+_SOLVER_BALANCE_TOL = 1.0e-6
+
+#: Least interpolation slack of a surface-served answer's balance.
+_SURFACE_BALANCE_FLOOR = 1.0e-3
 
 
 @dataclass
@@ -34,33 +64,73 @@ class TransportTally:
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Frozen summary of a transport run.
+    """One transport answer, from any engine.
 
-    All fractions are per source neutron; ``*_stderr`` are binomial
-    standard errors, so callers can put error bars on MC answers.
+    ``kind`` is the serde kind the result is written as, and it alone
+    says what the channels hold and where their errors come from:
+
+    * ``"transport"`` (batch and scalar Monte Carlo): integer counts
+      out of ``source`` histories; each ``*_stderr`` is the binomial
+      standard error; the balance holds exactly.
+    * ``"deterministic-transport"`` (the S_N solver): fractions per
+      source neutron (``source`` is 1.0); no statistical error; the
+      balance holds to the iteration residual.
+    * ``"surrogate-transport"`` (a certified response surface):
+      fractions per source neutron (``source`` is 1.0); each
+      ``*_stderr`` is the channel's certified bound; the balance
+      holds to the interpolation slack.
+
+    The remaining fields are engine extras, left at their defaults by
+    the engines that do not fill them.
+
+    Attributes:
+        absorbed_by_material: absorptions per material name (Monte
+            Carlo and solver).
+        degraded_shards: shards the batch engine recomputed
+            in-process after a pool worker died or a delivery
+            faulted.  Tallies are unaffected (shards are
+            deterministic), but the run did not go to plan — mirrors
+            the ``degraded`` flag on exposures.
+        absorbed_by_layer: absorbed fraction per geometry layer
+            (solver).
+        iterations: total within-group source iterations (solver).
+        balance_residual: ``|1 - (transmitted + reflected +
+            absorbed)|``, bounded by the iteration tolerance
+            (solver).
+        bounds: certified absolute bound per channel (surface).
     """
 
-    source: int
-    transmitted_thermal: int
-    transmitted_epithermal: int
-    transmitted_fast: int
-    reflected_thermal: int
-    reflected_epithermal: int
-    reflected_fast: int
-    absorbed: int
-    collisions: int
-    absorbed_by_material: Dict[str, int]
-    #: Shards the batch engine recomputed in-process after a pool
-    #: worker died or a delivery faulted.  Tallies are unaffected
-    #: (shards are deterministic), but the run did not go to plan —
-    #: mirrors the ``degraded`` flag on exposures.
+    kind: str
+    source: float
+    transmitted_thermal: float
+    transmitted_epithermal: float
+    transmitted_fast: float
+    reflected_thermal: float
+    reflected_epithermal: float
+    reflected_fast: float
+    absorbed: float
+    collisions: float
+    absorbed_by_material: Dict[str, float] = field(
+        default_factory=dict
+    )
     degraded_shards: int = 0
+    absorbed_by_layer: Tuple[float, ...] = ()
+    iterations: int = 0
+    balance_residual: float = 0.0
+    bounds: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(
+                f"unknown result kind {self.kind!r};"
+                f" allowed: {_KINDS}"
+            )
 
     @classmethod
     def from_tally(
         cls, tally: TransportTally, degraded_shards: int = 0
     ) -> "TransportResult":
-        """Freeze a mutable tally.
+        """Freeze a mutable Monte Carlo tally.
 
         Args:
             tally: the counters to freeze.
@@ -68,6 +138,7 @@ class TransportResult:
                 fallback (batch engine only).
         """
         return cls(
+            kind="transport",
             source=tally.source,
             transmitted_thermal=tally.transmitted_thermal,
             transmitted_epithermal=tally.transmitted_epithermal,
@@ -82,72 +153,102 @@ class TransportResult:
         )
 
     def to_dict(self) -> dict:
-        """Plain-dict form, tagged with the ``transport`` schema."""
-        return serde.tag(
-            "transport",
-            {
-                "source": self.source,
-                "transmitted_thermal": self.transmitted_thermal,
-                "transmitted_epithermal": (
-                    self.transmitted_epithermal
-                ),
-                "transmitted_fast": self.transmitted_fast,
-                "reflected_thermal": self.reflected_thermal,
-                "reflected_epithermal": self.reflected_epithermal,
-                "reflected_fast": self.reflected_fast,
-                "absorbed": self.absorbed,
-                "collisions": self.collisions,
-                "absorbed_by_material": dict(
-                    self.absorbed_by_material
-                ),
-                "degraded_shards": self.degraded_shards,
-            },
-        )
+        """Plain-dict form, tagged with the result's ``kind``.
+
+        Each kind writes the channels and its own extras; Monte Carlo
+        counts stay integers.
+        """
+        body = {
+            "source": self.source,
+            "transmitted_thermal": self.transmitted_thermal,
+            "transmitted_epithermal": self.transmitted_epithermal,
+            "transmitted_fast": self.transmitted_fast,
+            "reflected_thermal": self.reflected_thermal,
+            "reflected_epithermal": self.reflected_epithermal,
+            "reflected_fast": self.reflected_fast,
+            "absorbed": self.absorbed,
+            "collisions": self.collisions,
+        }
+        if self.kind == "surrogate-transport":
+            body["bounds"] = dict(self.bounds)
+        else:
+            body["absorbed_by_material"] = dict(
+                self.absorbed_by_material
+            )
+            if self.kind == "transport":
+                body["degraded_shards"] = self.degraded_shards
+            else:
+                body["absorbed_by_layer"] = list(
+                    self.absorbed_by_layer
+                )
+                body["iterations"] = self.iterations
+                body["balance_residual"] = self.balance_residual
+        return serde.tag(self.kind, body)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransportResult":
         """Rebuild from :meth:`to_dict` output.
 
+        Every field the payload's kind writes is required.
+
         Raises:
-            repro.serde.SchemaError: on a wrong kind tag or an
-                unsupported version.
+            repro.serde.SchemaError: on a missing or unknown kind tag
+                or an unsupported version.
+            KeyError: on a missing field.
         """
-        serde.check("transport", data)
+        kind = data.get(serde.SCHEMA_KEY)
+        # An untagged or foreign payload fails as a ``transport`` one.
+        serde.check(kind if kind in _KINDS else _KINDS[0], data)
+        number = int if kind == "transport" else float
+        extras: dict = {}
+        if kind == "surrogate-transport":
+            extras["bounds"] = {
+                str(k): float(v) for k, v in data["bounds"].items()
+            }
+        else:
+            extras["absorbed_by_material"] = {
+                str(k): number(v)
+                for k, v in data["absorbed_by_material"].items()
+            }
+            if kind == "transport":
+                extras["degraded_shards"] = int(
+                    data["degraded_shards"]
+                )
+            else:
+                extras["absorbed_by_layer"] = tuple(
+                    float(v) for v in data["absorbed_by_layer"]
+                )
+                extras["iterations"] = int(data["iterations"])
+                extras["balance_residual"] = float(
+                    data["balance_residual"]
+                )
         return cls(
-            source=int(data["source"]),
-            transmitted_thermal=int(data["transmitted_thermal"]),
-            transmitted_epithermal=int(
-                data["transmitted_epithermal"]
-            ),
-            transmitted_fast=int(data["transmitted_fast"]),
-            reflected_thermal=int(data["reflected_thermal"]),
-            reflected_epithermal=int(data["reflected_epithermal"]),
-            reflected_fast=int(data["reflected_fast"]),
-            absorbed=int(data["absorbed"]),
-            collisions=int(data["collisions"]),
-            absorbed_by_material={
-                str(k): int(v)
-                for k, v in data.get(
-                    "absorbed_by_material", {}
-                ).items()
-            },
-            degraded_shards=int(data.get("degraded_shards", 0)),
+            kind=kind,
+            source=number(data["source"]),
+            **{channel: number(data[channel]) for channel in CHANNELS},
+            **extras,
         )
 
     # ------------------------------------------------------------------
 
-    def _fraction(self, count: int) -> float:
+    def _fraction(self, count: float) -> float:
+        """``count`` per source neutron.  A fraction kind's ``source``
+        is 1.0, and dividing by it returns the value bit for bit."""
         if self.source == 0:
             raise ValueError("empty run: no source neutrons")
         return count / self.source
 
-    def _stderr(self, count: int) -> float:
-        p = self._fraction(count)
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.source)
+    def _stderr(self, channel: str) -> float:
+        if self.kind == "transport":
+            p = self._fraction(getattr(self, channel))
+            return math.sqrt(max(p * (1.0 - p), 0.0) / self.source)
+        if self.kind == "surrogate-transport":
+            return self.bounds[channel]
+        return 0.0
 
     @property
-    def transmitted(self) -> int:
-        """All neutrons leaving through the far face."""
+    def transmitted(self) -> float:
+        """All neutrons leaving through the far face (any energy)."""
         return (
             self.transmitted_thermal
             + self.transmitted_epithermal
@@ -155,7 +256,7 @@ class TransportResult:
         )
 
     @property
-    def reflected(self) -> int:
+    def reflected(self) -> float:
         """All neutrons leaving back through the entry face."""
         return (
             self.reflected_thermal
@@ -181,13 +282,14 @@ class TransportResult:
         return self._fraction(self.reflected_thermal)
 
     def thermal_albedo_stderr(self) -> float:
-        """Binomial standard error of :meth:`thermal_albedo`."""
-        return self._stderr(self.reflected_thermal)
+        """Error of :meth:`thermal_albedo`: binomial, zero or the
+        certified bound, by ``kind``."""
+        return self._stderr("reflected_thermal")
 
     def thermal_transmission_stderr(self) -> float:
-        """Binomial standard error of
-        :meth:`thermal_transmission_fraction`."""
-        return self._stderr(self.transmitted_thermal)
+        """Error of :meth:`thermal_transmission_fraction`: binomial,
+        zero or the certified bound, by ``kind``."""
+        return self._stderr("transmitted_thermal")
 
     def absorption_fraction(self) -> float:
         """Fraction absorbed anywhere in the stack."""
@@ -195,13 +297,16 @@ class TransportResult:
 
     def mean_collisions(self) -> float:
         """Average number of collisions per source neutron."""
-        if self.source == 0:
-            raise ValueError("empty run: no source neutrons")
-        return self.collisions / self.source
+        return self._fraction(self.collisions)
 
     def balance_check(self) -> bool:
-        """True if every source neutron is accounted for."""
-        return (
-            self.transmitted + self.reflected + self.absorbed
-            == self.source
-        )
+        """True if every source neutron is accounted for: exactly
+        (Monte Carlo), to the iteration residual (solver) or to the
+        interpolation slack (surface)."""
+        if self.kind == "deterministic-transport":
+            return self.balance_residual <= _SOLVER_BALANCE_TOL
+        total = self.transmitted + self.reflected + self.absorbed
+        if self.kind == "transport":
+            return total == self.source
+        slack = sum(self.bounds[c] for c in FRACTION_CHANNELS)
+        return abs(total - 1.0) <= max(slack, _SURFACE_BALANCE_FLOOR)

@@ -1,5 +1,6 @@
 """Unified result serialization: schema tags and version checks."""
 
+import json
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,18 @@ from repro.beam.results import (
     ExposureResult,
 )
 from repro.faults.models import BeamKind
-from repro.transport.tallies import TransportResult, TransportTally
+from repro.transport.materials import CADMIUM, WATER
+from repro.transport.montecarlo import Layer, SlabGeometry
+from repro.transport.multigroup import DeterministicTransportEngine
+from repro.transport.surrogate.surface import (
+    ResponseSurface,
+    mono_source_key,
+)
+from repro.transport.tallies import (
+    CHANNELS,
+    TransportResult,
+    TransportTally,
+)
 
 
 #: A logbook of :meth:`TestLogbookRoundTrip._logbook`, saved by the
@@ -112,38 +124,114 @@ class TestExposureRoundTrip:
             ExposureResult.from_dict(data)
 
 
+def _mc_result():
+    tally = TransportTally(
+        source=100,
+        transmitted_thermal=10,
+        transmitted_epithermal=5,
+        transmitted_fast=15,
+        reflected_thermal=20,
+        reflected_epithermal=2,
+        reflected_fast=3,
+        collisions=940,
+    )
+    for _ in range(45):
+        tally.record_absorption("water")
+    return TransportResult.from_tally(tally, degraded_shards=2)
+
+
+def _solver_result():
+    engine = DeterministicTransportEngine(
+        SlabGeometry([Layer(WATER, 1.0), Layer(CADMIUM, 0.05)])
+    )
+    return engine.run(source_energy_ev=1.0e6)
+
+
+def _surface_result():
+    values = {
+        "transmitted_thermal": (0.2, 0.1),
+        "transmitted_epithermal": (0.1, 0.05),
+        "transmitted_fast": (0.05, 0.0),
+        "reflected_thermal": (0.3, 0.35),
+        "reflected_epithermal": (0.05, 0.05),
+        "reflected_fast": (0.0, 0.0),
+        "absorbed": (0.3, 0.45),
+        "collisions": (8.0, 12.0),
+    }
+    surface = ResponseSurface(
+        mode="transmission",
+        material="water",
+        source=mono_source_key(1.0e6),
+        thickness_cm=(1.0, 2.0),
+        channels=values,
+        gaps={channel: 0.01 for channel in values},
+        sigmas={channel: 0.002 for channel in values},
+        k_sigma=3.0,
+        confidence=0.997,
+    )
+    return surface.evaluate(1.5)
+
+
+#: The fields a kind's writer emits beyond the channels, each of
+#: which its reader requires.
+_EXTRAS = {
+    "transport": ("absorbed_by_material", "degraded_shards"),
+    "deterministic-transport": (
+        "absorbed_by_material",
+        "absorbed_by_layer",
+        "iterations",
+        "balance_residual",
+    ),
+    "surrogate-transport": ("bounds",),
+}
+
+
+@pytest.fixture(scope="module")
+def transport_results():
+    """One result of each kind: Monte Carlo, solver, surface."""
+    return (_mc_result(), _solver_result(), _surface_result())
+
+
 class TestTransportRoundTrip:
-    def _result(self):
-        tally = TransportTally(
-            source=100,
-            transmitted_thermal=10,
-            transmitted_epithermal=5,
-            transmitted_fast=15,
-            reflected_thermal=20,
-            reflected_epithermal=2,
-            reflected_fast=3,
-            collisions=940,
-        )
-        for _ in range(45):
-            tally.record_absorption("water")
-        return TransportResult.from_tally(tally, degraded_shards=2)
+    def test_round_trip(self, transport_results):
+        assert [r.kind for r in transport_results] == list(_EXTRAS)
+        for original in transport_results:
+            data = original.to_dict()
+            assert data[serde.SCHEMA_KEY] == original.kind
+            assert set(data) == {
+                serde.SCHEMA_KEY,
+                serde.VERSION_KEY,
+                "source",
+                *CHANNELS,
+                *_EXTRAS[original.kind],
+            }
+            restored = TransportResult.from_dict(data)
+            assert restored == original
+            assert restored.balance_check()
+            # Counts stay integers and fractions floats, on the wire
+            # too.
+            assert json.dumps(restored.to_dict()) == json.dumps(data)
 
-    def test_round_trip(self):
-        original = self._result()
-        restored = TransportResult.from_dict(original.to_dict())
-        assert restored == original
-        assert restored.balance_check()
+    def test_wrong_kind_rejected(self, transport_results):
+        for result in transport_results:
+            data = result.to_dict()
+            data[serde.SCHEMA_KEY] = "exposure"
+            with pytest.raises(serde.SchemaError):
+                TransportResult.from_dict(data)
 
-    def test_wrong_kind_rejected(self):
-        data = self._result().to_dict()
-        data[serde.SCHEMA_KEY] = "exposure"
-        with pytest.raises(serde.SchemaError):
-            TransportResult.from_dict(data)
+    def test_untagged_payload_rejected(self, transport_results):
+        for result in transport_results:
+            data = _untagged(result.to_dict())
+            with pytest.raises(serde.SchemaError, match="untagged"):
+                TransportResult.from_dict(data)
 
-    def test_untagged_payload_rejected(self):
-        data = _untagged(self._result().to_dict())
-        with pytest.raises(serde.SchemaError, match="untagged"):
-            TransportResult.from_dict(data)
+    def test_missing_extra_rejected(self, transport_results):
+        for result in transport_results:
+            for name in _EXTRAS[result.kind]:
+                data = result.to_dict()
+                del data[name]
+                with pytest.raises(KeyError, match=name):
+                    TransportResult.from_dict(data)
 
 
 class TestLogbookRoundTrip:

@@ -112,6 +112,49 @@ def test_parse_request_roundtrip():
             "bad-request",
         ),
         (_line(plan="ghost", params={}), "unknown-plan"),
+        # json.loads reads NaN, Infinity and 1e400 (as inf), and
+        # integers past the float range; none is a usable number.
+        pytest.param(
+            _line(
+                kind="transmission",
+                params={
+                    "shield": "water",
+                    "thickness_cm": float("nan"),
+                    "engine": "batch",
+                },
+            ),
+            "bad-request",
+            id="thickness-NaN",
+        ),
+        pytest.param(
+            _line(
+                kind="transmission",
+                params={"shield": "water", "thickness_cm": float("inf")},
+            ),
+            "bad-request",
+            id="thickness-Infinity",
+        ),
+        pytest.param(
+            _line(
+                kind="transmission",
+                params={"shield": "water", "thickness_cm": 2.5},
+            ).replace("2.5", "1e400"),
+            "bad-request",
+            id="thickness-1e400",
+        ),
+        pytest.param(
+            _line(
+                kind="transmission",
+                params={"shield": "water", "thickness_cm": 10**400},
+            ),
+            "bad-request",
+            id="thickness-int-past-float-range",
+        ),
+        pytest.param(
+            _line(timeout_ms=float("nan")),
+            "bad-request",
+            id="timeout_ms-NaN",
+        ),
     ],
 )
 def test_parse_request_rejects(line, code):

@@ -31,11 +31,24 @@ envelope (edges included), surrogate misses (a degraded fallback
 under ``surrogate``, a live answer under ``auto``), ``fit``,
 ``cross-section`` and ``flux`` at every site, batch, deterministic
 and scalar answers, repeats that the cache serves, and an error.
+The ``result_accessors`` block was written by the code as it stood
+before the three engines' result classes became one: what each of
+the ten accessors returns (``transmitted``, ``reflected``, the four
+fractions, ``mean_collisions``, both ``*_stderr`` and
+``balance_check``) for every result the ``answers``,
+``batch_tallies`` and ``deterministic`` blocks pin, and for the trial
+surface evaluated at each grid point and each interval's midpoint.
+The result blocks and this one compare as JSON text, so a count that
+became a float (``5000.0`` for ``5000``) fails by name.
 
 Regenerate only on purpose (a physics or sampling change), with::
 
     PYTHONPATH=src python tests/test_transport_answers.py \\
         > tests/data/transport-answers.json
+
+The same command adds a new block: run it with the code as it stood
+before the change the block guards, and check that ``git diff`` of the
+fixture shows only the added block.
 """
 
 from __future__ import annotations
@@ -46,6 +59,8 @@ import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
+
+import pytest
 
 from repro.chaos import trials
 from repro.chaos.trials import make_surrogate_root
@@ -59,6 +74,7 @@ from repro.transport.batch import BatchTransportEngine
 from repro.transport.materials import AIR, CADMIUM, CONCRETE, WATER
 from repro.transport.montecarlo import Layer, SlabGeometry
 from repro.transport.multigroup import DeterministicTransportEngine
+from repro.transport.surrogate.store import SurrogateStore
 from repro.transport.surrogate.surface import spectrum_source_key
 
 FIXTURE = Path(__file__).parent / "data" / "transport-answers.json"
@@ -131,12 +147,12 @@ def _stacks() -> dict:
     return stacks
 
 
-def _batch(layers, n_neutrons, **run_kwargs) -> dict:
+def _batch(layers, n_neutrons, **run_kwargs):
     engine = BatchTransportEngine(SlabGeometry(layers))
-    return engine.run(n_neutrons, seed=2020, **run_kwargs).to_dict()
+    return engine.run(n_neutrons, seed=2020, **run_kwargs)
 
 
-def _vacuum_batch(layers, vacuum_layer, n_neutrons, **run_kwargs) -> dict:
+def _vacuum_batch(layers, vacuum_layer, n_neutrons, **run_kwargs):
     """Tallies of ``layers`` with one layer's cross sections zeroed.
 
     No :class:`~repro.transport.materials.Material` has a zero total
@@ -156,11 +172,11 @@ def _vacuum_batch(layers, vacuum_layer, n_neutrons, **run_kwargs) -> dict:
         sigma_absorb_thermal_per_cm=sigma_a0,
         material_names=tuple(names),
     )
-    return engine.run(n_neutrons, seed=2020, **run_kwargs).to_dict()
+    return engine.run(n_neutrons, seed=2020, **run_kwargs)
 
 
 def _batch_tallies() -> dict:
-    """Batch-engine tallies over every sweep shape the kernel has."""
+    """Batch-engine results over every sweep shape the kernel has."""
     rotax = rotax_spectrum()
     tallies = {}
     for shield, (material, thickness_cm) in sorted(SHIELDS.items()):
@@ -204,13 +220,13 @@ def _batch_tallies() -> dict:
     return tallies
 
 
-def _solve(layers, **source) -> dict:
+def _solve(layers, **source):
     engine = DeterministicTransportEngine(SlabGeometry(layers))
-    return engine.run(**source).to_dict()
+    return engine.run(**source)
 
 
 def _deterministic() -> dict:
-    """Deterministic-engine answers over every mesh shape it meets."""
+    """Deterministic-engine results over every mesh shape it meets."""
     rotax = rotax_spectrum()
     answers = {}
     for shield in LADDER_SHIELDS:
@@ -418,12 +434,44 @@ def compute() -> dict:
     return pinned
 
 
+#: Every accessor a transport result answers: two properties, then
+#: eight methods called with no arguments.
+RESULT_PROPERTIES = ("transmitted", "reflected")
+RESULT_METHODS = (
+    "transmission_fraction",
+    "thermal_transmission_fraction",
+    "thermal_albedo",
+    "absorption_fraction",
+    "mean_collisions",
+    "thermal_transmission_stderr",
+    "thermal_albedo_stderr",
+    "balance_check",
+)
+
+
+def _accessors(result) -> dict:
+    """What each accessor of ``result`` returns."""
+    values = {name: getattr(result, name) for name in RESULT_PROPERTIES}
+    for name in RESULT_METHODS:
+        values[name] = getattr(result, name)()
+    return values
+
+
+def _surface_points(surface) -> dict:
+    """The surface's grid points and the midpoint of each interval."""
+    grid = surface.thickness_cm
+    points = {f"grid/{i}": t for i, t in enumerate(grid)}
+    for i, (lo, hi) in enumerate(zip(grid, grid[1:])):
+        points[f"midpoint/{i}"] = (lo + hi) / 2.0
+    return points
+
+
 def _engine_numbers() -> dict:
     """Every pinned number except the service's response lines."""
-    answers = {}
+    served = {}
     for name, fields in _queries().items():
         for engine in LIVE_CASCADE:
-            served = answer(
+            served[f"{name}/{engine}"] = answer(
                 TransportQuery(
                     n_neutrons=N_NEUTRONS,
                     seed=2020,
@@ -432,16 +480,42 @@ def _engine_numbers() -> dict:
                 ),
                 store=None,
             )
-            answers[f"{name}/{engine}"] = {
-                "result": served.result.to_dict(),
-                "provenance": served.provenance.to_dict(),
-            }
+    tallies = _batch_tallies()
+    solves = _deterministic()
     with tempfile.TemporaryDirectory() as root:
         digest = make_surrogate_root(root)
+        ((surface, _),) = SurrogateStore(root).surfaces()
+    results = {
+        f"answers/{key}": served_answer.result
+        for key, served_answer in served.items()
+    }
+    results.update(
+        (f"batch_tallies/{key}", result) for key, result in tallies.items()
+    )
+    results.update(
+        (f"deterministic/{key}", result) for key, result in solves.items()
+    )
+    results.update(
+        (f"surrogate/{key}", surface.evaluate(thickness_cm))
+        for key, thickness_cm in _surface_points(surface).items()
+    )
     return {
-        "answers": answers,
-        "batch_tallies": _batch_tallies(),
-        "deterministic": _deterministic(),
+        "answers": {
+            key: {
+                "result": served_answer.result.to_dict(),
+                "provenance": served_answer.provenance.to_dict(),
+            }
+            for key, served_answer in served.items()
+        },
+        "batch_tallies": {
+            key: result.to_dict() for key, result in tallies.items()
+        },
+        "deterministic": {
+            key: result.to_dict() for key, result in solves.items()
+        },
+        "result_accessors": {
+            key: _accessors(result) for key, result in results.items()
+        },
         "response_matrix": response_matrix(
             [0.0, 2.5, 5.0], n_neutrons=500
         ).tolist(),
@@ -453,13 +527,24 @@ def _engine_numbers() -> dict:
     }
 
 
-def test_answers_match_the_fixture_exactly():
+@pytest.fixture(scope="module")
+def engine_numbers() -> dict:
+    return _engine_numbers()
+
+
+def _as_text(value) -> str:
+    """``value`` as canonical JSON text: ``5000`` and ``5000.0``
+    differ here, where ``==`` would call them equal."""
+    return json.dumps(value, sort_keys=True)
+
+
+def test_answers_match_the_fixture_exactly(engine_numbers):
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
     # Round-trip through JSON so tuples and floats compare as stored.
-    actual = json.loads(json.dumps(_engine_numbers()))
+    actual = json.loads(json.dumps(engine_numbers))
     assert sorted(actual["answers"]) == sorted(expected["answers"])
     for key, pinned in expected["answers"].items():
-        assert actual["answers"][key] == pinned, key
+        assert _as_text(actual["answers"][key]) == _as_text(pinned), key
     assert actual["response_matrix"] == expected["response_matrix"]
     assert actual["surrogate_digest"] == expected["surrogate_digest"]
     assert (
@@ -469,15 +554,45 @@ def test_answers_match_the_fixture_exactly():
         expected["batch_tallies"]
     )
     for key, pinned in expected["batch_tallies"].items():
-        assert actual["batch_tallies"][key] == pinned, key
+        assert _as_text(actual["batch_tallies"][key]) == _as_text(
+            pinned
+        ), key
     assert sorted(actual["deterministic"]) == sorted(
         expected["deterministic"]
     )
     for key, pinned in expected["deterministic"].items():
-        assert actual["deterministic"][key] == pinned, key
+        assert _as_text(actual["deterministic"][key]) == _as_text(
+            pinned
+        ), key
     # Sharding over worker processes never changes a tally.
     tallies = actual["batch_tallies"]
     assert tallies["parallel/water"] == tallies["study/water"]
+
+
+def test_every_result_accessor_matches_the_fixture_as_json_text(
+    engine_numbers,
+):
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    pinned = expected["result_accessors"]
+    actual = engine_numbers["result_accessors"]
+    assert sorted(actual) == sorted(pinned)
+    for key, values in pinned.items():
+        assert sorted(values) == sorted(
+            RESULT_PROPERTIES + RESULT_METHODS
+        ), key
+        for name, value in values.items():
+            assert _as_text(actual[key][name]) == _as_text(value), (
+                key,
+                name,
+            )
+    # The block covers every result the other engine blocks pin,
+    # and the surface at every grid point and midpoint.
+    for block in ("answers", "batch_tallies", "deterministic"):
+        for key in expected[block]:
+            assert f"{block}/{key}" in pinned
+    surrogate = [key for key in pinned if key.startswith("surrogate/")]
+    grid = [key for key in surrogate if key.startswith("surrogate/grid/")]
+    assert len(surrogate) == 2 * len(grid) - 1 >= 3
 
 
 def test_served_response_lines_match_the_fixture_byte_for_byte():

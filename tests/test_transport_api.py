@@ -135,6 +135,8 @@ def test_query_requires_exactly_one_source():
         {"thickness_cm": 0.0},
         {"n_neutrons": 0},
         {"engine": "warp-drive"},
+        {"thickness_cm": float("nan")},
+        {"thickness_cm": float("inf")},
     ],
 )
 def test_query_rejects_bad_fields(overrides):
@@ -269,6 +271,10 @@ def test_every_engine_and_mode_exposes_both_stderr_accessors(
     )
     assert served.provenance.engine == engine
     result = served.result
+    assert result.kind == {
+        "surrogate": "surrogate-transport",
+        "deterministic": "deterministic-transport",
+    }.get(engine, "transport")
     stderrs = {
         "transmission": result.thermal_transmission_stderr(),
         "albedo": result.thermal_albedo_stderr(),
