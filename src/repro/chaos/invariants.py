@@ -1114,12 +1114,20 @@ class InvariantChecker:
                         "post-worker-death result diverged from"
                         " clean"
                     )
-                # Outside activation a rebuilt pool must serve a
-                # clean, undegraded answer — killed, not wedged.
+                # Outside activation the next answer must be clean and
+                # undegraded — killed, not wedged.  It is computed
+                # in-process: no pool is forked again from the
+                # service's threads after a worker death.
                 out2 = trials.run_service_lines(service, [line])[0]
                 if canon_service(out2) != clean:
                     violations.append(
                         "service did not recover after worker kill"
+                    )
+                if service.executor.pool_state() != "lost":
+                    violations.append(
+                        "pool state is"
+                        f" {service.executor.pool_state()!r} after a"
+                        " worker kill, expected 'lost'"
                     )
             finally:
                 service.close()

@@ -93,6 +93,11 @@ METRICS: Dict[str, str] = {
     "repro_service_breaker_open": (
         "service circuit breaker state (1 = batch engine disabled)"
     ),
+    "repro_service_in_process_total": (
+        "live service queries computed in-process because the worker"
+        " pool was lost to a worker death or not forked while other"
+        " threads ran"
+    ),
     "repro_service_cache_swept_total": (
         "orphaned cache tmp files swept at server start"
     ),

@@ -49,8 +49,10 @@ SCHEMA_VERSIONS = {
     # "provenance" block (engine used, error bound, artifact digest).
     "service-response": 2,
     # Durable on-disk result-cache entries (carry their own SHA-256
-    # payload checksum).
-    "service-cache-entry": 1,
+    # payload checksum).  Version 2: deterministic answers from the
+    # layer-wise response build, which differ from version 1's in
+    # their last bits.
+    "service-cache-entry": 2,
     # A TransportResult from the deterministic engine (noise-free
     # fractions per source neutron).
     "deterministic-transport": 1,

@@ -8,9 +8,14 @@ surviving the ways real compute backends die:
   deterministic backoff (:class:`~repro.runtime.supervisor.Supervisor`
   around every dispatch).
 * **Worker death** (a SIGKILL'd pool process) breaks the pool; the
-  executor rebuilds it and recomputes the query in-process, flagging
-  the response ``degraded`` — the service answer is late, never
-  wrong, never a hang.
+  executor recomputes the query in-process, flagging the response
+  ``degraded`` — the service answer is late, never wrong, never a
+  hang.  It does not fork a new pool: a running server has other
+  threads (the event loop's workers), and a child forked from a
+  threaded process can inherit a lock held forever.  Every later
+  live query runs in-process until the server restarts, counted in
+  ``repro_service_in_process_total`` and reported by ``/healthz``
+  (:meth:`QueryExecutor.pool_state`).
 * **Repeated shard/worker failure** trips a
   :class:`~repro.runtime.budget.CircuitBreaker` that blocks the batch
   engine; blocked transmission queries walk
@@ -26,6 +31,7 @@ mid-query.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -231,8 +237,9 @@ class QueryExecutor:
             (:meth:`needs_engine`) dispatch to a ``fork`` process
             pool of this size when > 1
             (:func:`~repro.runtime.forkpool.fork_pool`: its workers
-            exit when the server dies); every other query is cheap
-            and runs in-process.
+            exit when the server dies), forked only while no other
+            thread runs and never again after a worker death; every
+            other query is cheap and runs in-process.
         retry: transient-fault backoff policy around every dispatch.
         sleep: injectable backoff sleeper.
         breaker: injectable circuit breaker (tests/chaos assert its
@@ -261,6 +268,9 @@ class QueryExecutor:
             sleep=time.sleep if sleep is None else sleep,
         )
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Set by a worker death: live queries then run in-process
+        #: until restart.
+        self._pool_lost = False
         #: Queries actually computed (the coalescing tests' witness).
         self.compute_count = 0
 
@@ -269,9 +279,9 @@ class QueryExecutor:
     def warm(self) -> None:
         """Pre-spawn the worker pool from the current thread.
 
-        Forking from the main thread before the server's event loop
-        and executor threads exist avoids fork-while-threaded
-        hazards; a no-op for in-process executors.
+        Call it before the server's event loop and executor threads
+        exist: the pool is forked only while no other thread runs.
+        A no-op for in-process executors.
         """
         if self.n_workers > 1:
             self._ensure_pool()
@@ -282,8 +292,25 @@ class QueryExecutor:
             self._pool.shutdown(wait=False)
             self._pool = None
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
+    def pool_state(self) -> str:
+        """Where live queries run: ``in-process`` (``n_workers`` 1),
+        ``pooled`` (the pool is up), ``unforked`` (not forked yet, or
+        refused while other threads ran) or ``lost`` (a worker died;
+        in-process until restart)."""
+        if self.n_workers == 1:
+            return "in-process"
+        if self._pool_lost:
+            return "lost"
+        return "unforked" if self._pool is None else "pooled"
+
+    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
+        """The worker pool, forked on first use; ``None`` after a
+        worker death, or while another thread runs."""
+        if (
+            self._pool is None
+            and not self._pool_lost
+            and threading.active_count() == 1
+        ):
             self._pool = fork_pool(self.n_workers)
             # Fork the workers now so they inherit current process
             # state (the chaos controller, for one).
@@ -359,16 +386,25 @@ class QueryExecutor:
         Returns:
             ``(result, worker_died)`` — when the pool broke (a
             worker was SIGKILL'd mid-query) the result comes from an
-            in-process recompute and ``worker_died`` is True.
+            in-process recompute and ``worker_died`` is True.  A
+            query the pool cannot take (lost, or never forked) is
+            computed in-process too, and counted.
         """
         if not pooled:
             return _execute_query(payload), False
-        try:
-            pool = self._ensure_pool()
-            return pool.submit(_execute_query, payload).result(), False
-        except BrokenProcessPool:
-            self.close()
-            return _execute_query(payload), True
+        pool = self._ensure_pool()
+        worker_died = False
+        if pool is not None:
+            try:
+                return (
+                    pool.submit(_execute_query, payload).result(),
+                    False,
+                )
+            except BrokenProcessPool:
+                self.close()
+                self._pool_lost = worker_died = True
+        obs.inc("repro_service_in_process_total")
+        return _execute_query(payload), worker_died
 
 
 def _noop() -> None:

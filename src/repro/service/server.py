@@ -31,6 +31,9 @@ The same listening socket also answers plain ``GET /metrics`` (and
 ``/healthz``) HTTP requests: a connection whose first bytes look
 like an HTTP request line is served a Prometheus scrape instead of
 the NDJSON loop, so one port carries both queries and telemetry.
+The ``/healthz`` body names the service status and where live
+queries run (:meth:`~repro.service.compute.QueryExecutor.pool_state`:
+``lost`` after a worker death, until restart).
 """
 
 from __future__ import annotations
@@ -407,7 +410,11 @@ class FitService:
             content_type = "text/plain; version=0.0.4"
         elif target == "/healthz":
             text = json.dumps(
-                {"status": "shutting-down" if self._closing else "ok"}
+                {
+                    "status": "shutting-down" if self._closing else "ok",
+                    "pool": self.executor.pool_state(),
+                },
+                sort_keys=True,
             )
             status = "200 OK"
             content_type = "application/json"

@@ -81,10 +81,10 @@ _NEGOTIATED = ENGINE_POLICIES[:2]
 #: this exact sequence (fixing the old batch->scalar shortcut).  The
 #: order is one of preference, not of cost: a deterministic solve is
 #: not always cheaper than the batch run it stands in for.  Under the
-#: ROTAX source on a 2-vCPU host it cost 0.26-0.39 of a 20 000-history
-#: batch run on the study's water (10 cm) and concrete (30 cm)
-#: shields and 0.73-1.04 of a 4096-history one, but 3.4-48 times a
-#: batch run of either size on cadmium (0.1 cm) and borated
+#: ROTAX source, on one CPU of a 2-vCPU host, it cost 0.17-0.27 of a
+#: 20 000-history batch run on the study's water (10 cm) and concrete
+#: (30 cm) shields and 0.48-0.81 of a 4096-history one, but 1.25-12.5
+#: times a batch run of either size on cadmium (0.1 cm) and borated
 #: polyethylene (5 cm).
 LIVE_CASCADE = ("batch", "deterministic", "scalar")
 
@@ -134,8 +134,8 @@ def pick_live_engine(
             the cascade order does not promise (see
             :data:`LIVE_CASCADE`): a batch point downgraded to the
             solver runs faster on the study's water and concrete
-            shields at 20 000 histories, about as fast at 4096, and
-            slower on its cadmium and borated polyethylene ones.
+            shields, at 4096 histories as at 20 000, and slower on
+            its cadmium and borated polyethylene ones.
 
     Returns:
         ``(engine, reason)`` — ``reason`` is ``""`` when the pick is

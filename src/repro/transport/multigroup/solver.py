@@ -16,12 +16,20 @@ Numerical scheme
   *machine-exact* particle balance per cell.  Because the sweep is
   affine in the emission density, each group's sweep is assembled
   *once* into a response matrix (scalar flux and boundary-current
-  response to a unit isotropic emission per cell, built in log-space
-  so thick stacks underflow benignly); a source iteration is then a
-  single ``C x C`` mat-vec instead of a cell-by-cell sweep.  A
-  group's response is built in blocks of rows over the strict lower
-  triangle, when that group is solved, and is dropped once it is:
-  a solve holds one ``C x C`` response at a time.
+  response to a unit isotropic emission per cell); a source
+  iteration is then a single ``C x C`` mat-vec instead of a
+  cell-by-cell sweep.  Each layer's mesh is uniform and its cross
+  sections constant, so the optical distance between two of its
+  cells is the number of cells between them times the layer's cell
+  ``tau``, and attenuation across layer boundaries composes layer by
+  layer.  A layer's own block of the response is then a symmetric
+  Toeplitz matrix: one ``exp(-d tau)`` kernel per ordinate
+  (``O(M C)`` exponentials, long paths underflowing benignly to
+  zero), summed into one column and filled by one copy.  Only a
+  stack of several layers builds cross-layer blocks, each in
+  ``O(M C_A C_B)`` for layers of ``C_A`` and ``C_B`` cells.  A
+  group's response is built when that group is solved and dropped
+  once it is: a solve holds one ``C x C`` response at a time.
 * **Energy** — the collapsed scattering matrix has no upscatter above
   the thermal bath, so groups are solved once each in descending
   energy order; only the *within-group* source iteration iterates,
@@ -46,6 +54,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.obs import core as obs
 from repro.physics.constants import BOLTZMANN_EV_PER_K, ROOM_TEMPERATURE_K
@@ -76,26 +85,78 @@ _TAU_TARGET = 0.25
 _MIN_CELLS_PER_LAYER = 2
 _MAX_TOTAL_CELLS = 512
 
-#: Rows of a response matrix built per block.
-_BLOCK_ROWS = 64
 
-#: Strict-lower-triangle mask of a block's diagonal square.
-_BLOCK_LOWER = np.tri(_BLOCK_ROWS, _BLOCK_ROWS - 1, k=-1)
-
-
-def _sum_ordinates(terms: np.ndarray, out: np.ndarray) -> None:
-    """Write ``terms.sum(axis=0)`` to ``out``, adding in index order."""
-    out[...] = terms[0]
+def _sum_ordinates(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=0)``, adding the ordinates in index order."""
+    total = np.array(terms[0])
     for term in terms[1:]:
-        out += term
+        total += term
+    return total
+
+
+class _LayerSweep:
+    """One layer's sweep coefficients in one group, per ordinate.
+
+    Every cell of a layer has the same thickness and cross sections,
+    so one value per ordinate describes them all.
+
+    Args:
+        weights: quadrature weights of the positive half-set.
+        mu: direction cosines of the half-set.
+        sigma_t: the layer's total cross section in the group, 1/cm.
+        tau: optical thickness of each of its cells, per ordinate.
+        start: index of the layer's first cell in the stack.
+        n_cells: the layer's cell count.
+    """
+
+    def __init__(
+        self,
+        weights: np.ndarray,
+        mu: np.ndarray,
+        sigma_t: float,
+        tau: np.ndarray,
+        start: int,
+        n_cells: int,
+    ) -> None:
+        self.n_cells = n_cells
+        self.cells = slice(start, start + n_cells)
+        twice_sigma = 2.0 * sigma_t
+        # r = (1 - a) / tau via expm1: stable down to tau -> 0.
+        avg_weight = -np.expm1(-tau) / tau
+        self.weighted = weights * avg_weight
+        # Emitted angular flux leaving the source cell, per unit
+        # emission density: (1 - a) / (2 sigma_t).
+        self.emit = (1.0 - np.exp(-tau)) / twice_sigma
+        self.leaving = (weights * mu) * self.emit
+        # Self-term (1 - r) / (2 sigma_t), once per direction.
+        self.self_term = 2.0 * _sum_ordinates(
+            weights * (1.0 - avg_weight) / twice_sigma
+        )
+        # kernel[m, d]: transmission across d whole cells, up to the
+        # whole layer; long paths underflow cleanly to zero.
+        self.kernel = np.exp(-(tau[:, None] * np.arange(n_cells + 1)))
+
+    def toeplitz(self) -> np.ndarray:
+        """The layer's own response block: entry ``[i, j]`` depends
+        only on ``|i - j|``, the same in both sweep directions."""
+        column = np.empty(self.n_cells)
+        column[0] = self.self_term
+        column[1:] = _sum_ordinates(
+            self.weighted[:, None]
+            * self.kernel[:, : self.n_cells - 1]
+            * self.emit[:, None]
+        )
+        mirrored = np.concatenate((column[:0:-1], column))
+        return sliding_window_view(mirrored, self.n_cells)[::-1]
 
 
 class DeterministicTransportEngine:
     """S_N multigroup solver over a :class:`SlabGeometry`.
 
-    Built once per geometry (attenuation tables are precomputed per
-    group/ordinate/cell); :meth:`run` is then a pure function of the
-    source — no RNG anywhere, so repeat solves are bit-identical.
+    Built once per geometry (cross sections per group and cell,
+    optical thicknesses per group, layer and ordinate); :meth:`run`
+    is then a pure function of the source — no RNG anywhere, so
+    repeat solves are bit-identical.
 
     Args:
         geometry: the slab stack.
@@ -187,41 +248,41 @@ class DeterministicTransportEngine:
         ):
             dx_cm.extend([layer.thickness_cm / n_cells] * n_cells)
             cell_layer.extend([index] * n_cells)
+        self.layer_cells = tuple(counts)
         self.dx_cm = np.asarray(dx_cm)
         self.cell_layer = np.asarray(cell_layer, dtype=int)
         self.n_cells = self.dx_cm.size
 
     def _build_tables(self) -> None:
-        """Precompute per-(group, ordinate, cell) sweep coefficients."""
+        """Precompute per-cell cross sections and per-layer optical
+        thicknesses."""
         n_groups = self.structure.n_groups
         sigma_t = np.empty((n_groups, self.n_cells))
         sigma_a = np.empty((n_groups, self.n_cells))
         sigma_s = np.empty((n_groups, self.n_cells))
+        in_group = np.empty((n_groups, self.n_cells))
         for index, table in enumerate(self.tables):
             cells = self.cell_layer == index
             sigma_t[:, cells] = table.sigma_total_per_cm_g()[:, None]
             sigma_a[:, cells] = table.sigma_absorb_per_cm_g[:, None]
             sigma_s[:, cells] = table.sigma_scatter_per_cm_g[:, None]
+            # In-group scattering probability per (group, cell).
+            in_group[:, cells] = np.diagonal(table.transfer)[:, None]
         self.sigma_t = sigma_t
         self.sigma_a = sigma_a
         self.sigma_s = sigma_s
-        # tau[g, m, c]: optical thickness of cell c at ordinate m.
-        tau = (
-            sigma_t[:, None, :]
-            * self.dx_cm[None, None, :]
-            / self.mu[None, :, None]
-        )
-        tau = np.maximum(tau, 1.0e-12)
-        self._tau = tau
-        self._atten = np.exp(-tau)
-        # r = (1 - a) / tau via expm1: stable down to tau -> 0.
-        self._avg_weight = -np.expm1(-tau) / tau
-        # In-group scattering probability per (group, cell).
-        in_group = np.empty((n_groups, self.n_cells))
-        for index, table in enumerate(self.tables):
-            cells = self.cell_layer == index
-            in_group[:, cells] = np.diagonal(table.transfer)[:, None]
         self._in_group = in_group
+        # A layer's cells share one thickness and one set of cross
+        # sections, hence one optical thickness per (group, ordinate):
+        # tau[g, l, m] for layer l.
+        self._layer_starts = np.cumsum((0,) + self.layer_cells[:-1])
+        first = self._layer_starts
+        self._layer_tau = np.maximum(
+            sigma_t[:, first, None]
+            * self.dx_cm[None, first, None]
+            / self.mu[None, None, :],
+            1.0e-12,
+        )
 
     def _group_response(
         self, g: int
@@ -235,70 +296,69 @@ class DeterministicTransportEngine:
         directions share the same ``|mu|`` half-set, so the negative
         sweep is the positive one on the mirrored cell axis.
 
-        Only the strict lower triangle of the cell pairs carries a
-        path term, so both directions are built over it, one block of
-        rows at a time with every ordinate at once.  Each term is
-        ``((w_m r_mi) path_mij) e_mj``, summed over the ordinates in
-        order: the products and sums of the dense ``einsum`` the tests
-        keep as the reference, which this build must equal bit for
-        bit.
+        The optical distance between two cells of one layer is the
+        number of cells between them times the layer's cell
+        thickness ``tau``; across layers the attenuations compose
+        layer by layer, in stack order.  A layer's own block is then
+        a symmetric Toeplitz matrix: one path kernel
+        ``exp(-d tau)`` per ordinate, summed over the ordinates into
+        one column and filled by one copy.  A block between two
+        layers is built from the outer product of their edge paths.
+        Each term is ``((w_m r_m) path_m) e_m``, the ordinates added
+        in index order: the plain dense form the tests keep as the
+        reference, which this build must equal bit for bit.
         """
-        tau = self._tau[g]  # (M, C)
-        atten = self._atten[g]
-        avg_weight = self._avg_weight[g]
-        twice_sigma = 2.0 * self.sigma_t[g]
-        # Emitted angular flux leaving the source cell, per unit
-        # emission density: (1 - a) / (2 sigma_t).
-        emit = (1.0 - atten) / twice_sigma[None, :]
-        weighted = self.weights[:, None] * avg_weight
-        # Attenuation between cells in log-space: path[m, i, j] =
-        # prod(a_k, j < k < i) = exp(-(T[i-1] - T[j])); underflow of
-        # long paths cleanly rounds to zero transmission.  The clamp
-        # absorbs the rounding step by which T[i] - tau[i] can exceed
-        # T[i-1].
-        total_tau = np.cumsum(tau, axis=1)
-        entry_tau = total_tau - tau
-        n_cells = self.n_cells
-        flux = np.zeros((n_cells, n_cells))
-        for start in range(0, n_cells, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n_cells)
-            rows = stop - start
-            cols = stop - 1  # every j < i for the block's rows i
-            path = (
-                total_tau[:, None, :cols]
-                - entry_tau[:, start:stop, None]
+        sweeps = [
+            _LayerSweep(
+                self.weights,
+                self.mu,
+                float(self.sigma_t[g, start]),
+                self._layer_tau[g, index],
+                start,
+                n_cells,
             )
-            np.minimum(path, 0.0, out=path)
-            np.exp(path, out=path)
-            # The block's diagonal square also holds pairs j >= i.
-            path[:, :, start:] *= _BLOCK_LOWER[:rows, : rows - 1]
-            # Positive direction: cell i sees emission from j < i, so
-            # the cell-average response is r_i * emit_j * path[i, j].
-            term = weighted[:, start:stop, None] * path
-            term *= emit[:, None, :cols]
-            _sum_ordinates(term, flux[start:stop, :cols])
-            # The negative direction mirrors it — emission from j > i,
-            # same |mu| set, same path lengths — so it is the same path
-            # block with r and emit swapping roles, summed in this
-            # layout and transposed into the upper triangle.
-            np.multiply(weighted[:, None, :cols], path, out=term)
-            term *= emit[:, start:stop, None]
-            mirrored = np.empty((rows, cols))
-            _sum_ordinates(term, mirrored)
-            flux[:cols, start:stop] += mirrored.T
-        # Self-term (1 - r_i) / (2 sigma_t_i), once per direction.
-        diag = (
-            self.weights[:, None]
-            * (1.0 - avg_weight)
-            / twice_sigma[None, :]
-        ).sum(axis=0)
-        flux.ravel()[:: n_cells + 1] += 2.0 * diag
-        # Outgoing partial currents: emission attenuated through the
-        # cells beyond it (far face) or before it (entry face).
-        leaving = (self.weights * self.mu)[:, None] * emit
-        through = np.exp(-(total_tau[:, -1][:, None] - total_tau))
-        right = (leaving * through).sum(axis=0)
-        left = (leaving * np.exp(-entry_tau)).sum(axis=0)
+            for index, (start, n_cells) in enumerate(
+                zip(self._layer_starts, self.layer_cells)
+            )
+        ]
+        flux = np.empty((self.n_cells, self.n_cells))
+        right = np.empty(self.n_cells)
+        left = np.empty(self.n_cells)
+        # Transmission of the layers before this one, in stack order.
+        ahead = np.ones(self.mu.size)
+        for index, sweep in enumerate(sweeps):
+            flux[sweep.cells, sweep.cells] = sweep.toeplitz()
+            # Path from each of its cells to the near face of each
+            # later layer: its own cells beyond, then the layers
+            # between, composed one layer at a time.
+            beyond = sweep.kernel[:, sweep.n_cells - 1 :: -1]
+            for other in sweeps[index + 1 :]:
+                path = other.kernel[:, : other.n_cells, None] * (
+                    beyond[:, None, :]
+                )
+                # Emission here seen there (positive direction), and
+                # there seen here (negative direction).
+                flux[other.cells, sweep.cells] = _sum_ordinates(
+                    other.weighted[:, None, None]
+                    * path
+                    * sweep.emit[:, None, None]
+                )
+                flux[sweep.cells, other.cells] = _sum_ordinates(
+                    sweep.weighted[:, None, None]
+                    * path
+                    * other.emit[:, None, None]
+                ).T
+                beyond = beyond * other.kernel[:, -1, None]
+            # Outgoing partial currents: emission attenuated through
+            # the cells beyond it (far face) or before it (entry face).
+            right[sweep.cells] = _sum_ordinates(
+                sweep.leaving[:, None] * beyond
+            )
+            before = ahead[:, None] * sweep.kernel[:, : sweep.n_cells]
+            left[sweep.cells] = _sum_ordinates(
+                sweep.leaving[:, None] * before
+            )
+            ahead = ahead * sweep.kernel[:, -1]
         return flux, right, left
 
     # -- public API ----------------------------------------------------

@@ -5,7 +5,10 @@ service result cache, the study shard store, surrogate artifacts and
 campaign checkpoints.  The reference entry of every case is a file
 written by the store code that preceded :mod:`repro.durable`
 (``tests/data/durable/``), so the same family also proves the on-disk
-formats did not change.
+formats did not change.  The cache entry's version has since gone to
+2 (deterministic answers moved in their last bits), so its file
+differs from the one that code wrote in ``schema_version`` and
+``checksum`` only.
 """
 
 from __future__ import annotations

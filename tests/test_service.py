@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import threading
 
 import pytest
@@ -33,6 +34,8 @@ from repro.service.protocol import (
     parse_request,
 )
 from repro.transport import api as transport_api
+
+pytestmark = pytest.mark.usefixtures("no_fork_while_threaded")
 
 
 def _no_sleep(_delay_s: float) -> None:
@@ -308,6 +311,37 @@ def test_corrupt_cache_entries_quarantined_and_recomputed(
     assert recomputed["cached"] is False
     assert recomputed["result"] == clean["result"]
     assert service.cache.get(key) == clean["result"]
+
+
+def test_a_version_1_cache_entry_is_a_miss_and_is_not_served(tmp_path):
+    # Version 1 entries hold deterministic answers from the response
+    # build that summed per-cell optical thicknesses; they differ from
+    # today's in their last bits, so none may be served.
+    params = {**_LIVE_PARAMS, "engine": "deterministic"}
+    line = _line(kind="transmission", params=params)
+    fresh = _answer(_service(), line)
+    service = _service(cache_dir=tmp_path / "cache")
+    query = Query.from_params("transmission", params)
+    key = query.cache_key()
+    stale = json.loads(json.dumps(fresh["result"]))
+    stale["thermal_transmission"] *= 1.0 + 2.0**-52
+    assert service.cache.put(key, query, stale)
+    path = service.cache.entry_path(key)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record["schema_version"] == 2
+    record["schema_version"] = 1
+    record["checksum"] = payload_checksum(record)
+    path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+    registry = MetricsRegistry()
+    with obs.observing(obs.Observer(registry=registry)):
+        served = _answer(service, line)
+    assert served["cached"] is False
+    assert served["result"] == fresh["result"]
+    assert registry.counter("repro_service_cache_hits_total") == 0
+    assert registry.counter("repro_service_cache_misses_total") == 1
+    assert path.with_name(path.name + QUARANTINE_SUFFIX).exists()
+    # The recomputed answer is cached under the current version.
+    assert service.cache.get(key) == fresh["result"]
 
 
 def _auto_cadmium_line() -> str:
@@ -709,6 +743,65 @@ def test_the_fork_pool_runs_live_engines_only():
     finally:
         service.close()
     assert pooled.result == QueryExecutor().execute(query).result
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_after_a_worker_death_live_queries_run_in_process():
+    line = _live_line()
+    clean = _answer(_service(), line)
+    service = _service(n_workers=2)
+    registry = MetricsRegistry()
+    kill = ChaosController(
+        ChaosSpec(
+            "service.dispatch",
+            chaos_actions.KILL_WORKER,
+            worker_only=True,
+        )
+    )
+    try:
+        with obs.observing(obs.Observer(registry=registry)):
+            with activated(kill):
+                service.executor.warm()
+                assert service.executor.pool_state() == "pooled"
+                killed = _answer(service, line)
+            assert service.executor.pool_state() == "lost"
+            # Each later answer is computed by this process, from an
+            # event-loop worker thread: the fork guard fails the test
+            # if one forks a new pool instead.
+            later = [_answer(service, line) for _ in range(2)]
+    finally:
+        service.close()
+    assert killed["degraded"] and killed["degraded_reason"] == "worker-retry"
+    assert killed["result"] == clean["result"]
+    assert later == [clean, clean]
+    assert service.executor.pool_state() == "lost"
+    # The recompute after the kill and both later answers.
+    assert registry.counter("repro_service_in_process_total") == 3
+
+
+def test_no_pool_is_forked_while_another_thread_runs():
+    service = _service(n_workers=2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, name="bystander")
+    other.start()
+    registry = MetricsRegistry()
+    query = Query.from_params("transmission", _LIVE_PARAMS)
+    try:
+        with obs.observing(obs.Observer(registry=registry)):
+            service.executor.warm()
+            outcome = service.executor.execute(query)
+    finally:
+        release.set()
+        other.join(timeout=10.0)
+        service.close()
+    assert not other.is_alive()
+    assert service.executor.pool_state() == "unforked"
+    assert not outcome.degraded
+    assert outcome.result == QueryExecutor().execute(query).result
+    assert registry.counter("repro_service_in_process_total") == 1
 
 
 class _SinkWriter:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 
 import pytest
@@ -19,6 +21,8 @@ from repro.service import (
     ServiceError,
 )
 from repro.transport import api as transport_api
+
+pytestmark = pytest.mark.usefixtures("no_fork_while_threaded")
 
 
 def _no_sleep(_delay_s: float) -> None:
@@ -165,26 +169,41 @@ def test_metrics_endpoint_scrapes_prometheus_text(live):
     assert 'span="service.request"' in text
 
 
-def test_http_unknown_route_is_404():
-    import socket
+def _http_get(port: int, target: str) -> bytes:
+    """The raw reply to one HTTP/1.0 GET on the service port."""
+    with socket.create_connection(
+        ("127.0.0.1", port), timeout=10.0
+    ) as sock:
+        sock.sendall(f"GET {target} HTTP/1.0\r\n\r\n".encode("ascii"))
+        raw = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return raw
+            raw += chunk
 
+
+def _healthz(port: int) -> dict:
+    raw = _http_get(port, "/healthz")
+    assert raw.startswith(b"HTTP/1.0 200")
+    return json.loads(raw.split(b"\r\n\r\n", 1)[1])
+
+
+def test_healthz_reports_where_live_queries_run(live, monkeypatch):
+    server, _registry = live
+    assert _healthz(server.port) == {"pool": "in-process", "status": "ok"}
+    monkeypatch.setattr(server.service.executor, "pool_state", lambda: "lost")
+    assert _healthz(server.port) == {"pool": "lost", "status": "ok"}
+
+
+def test_http_unknown_route_is_404():
     service = FitService(
         executor=QueryExecutor(sleep=_no_sleep),
         admission=AdmissionController(max_inflight=256),
     )
     server = _LiveServer(service)
     try:
-        with socket.create_connection(
-            ("127.0.0.1", server.port), timeout=10.0
-        ) as sock:
-            sock.sendall(b"GET /nope HTTP/1.0\r\n\r\n")
-            raw = b""
-            while True:
-                chunk = sock.recv(4096)
-                if not chunk:
-                    break
-                raw += chunk
-        assert raw.startswith(b"HTTP/1.0 404")
+        assert _http_get(server.port, "/nope").startswith(b"HTTP/1.0 404")
     finally:
         server.stop()
 

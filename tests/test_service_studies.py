@@ -12,6 +12,8 @@ from repro.studies.ledger import StudyLedger
 from repro.studies.service import StudyGateway
 from repro.studies.spec import StudySpec
 
+pytestmark = pytest.mark.usefixtures("no_fork_while_threaded")
+
 SPEC = {
     "name": "svc-study",
     "axes": {"site": ["nyc", "leadville"]},

@@ -22,6 +22,8 @@ from repro.service.protocol import (
 )
 from repro.transport import api as transport_api
 
+pytestmark = pytest.mark.usefixtures("no_fork_while_threaded")
+
 
 def _no_sleep(_delay_s: float) -> None:
     """Backoff sleeper for tests (never waits)."""

@@ -18,7 +18,12 @@ parallel run and the collision cap.  The ``deterministic`` block was
 written by the deterministic engine as it stood before its response
 build was blocked and its source kernel memoised, so the rewritten
 solver must reproduce every answer exactly, iteration counts and
-balance residuals included.  It covers the shield-serve benchmark's
+balance residuals included.  It was regenerated once when the
+response build took the optical distance inside a layer as cells
+between times the layer's cell thickness (every solve kept its
+iteration count and moved by under 1e-10 relative; the blocks and
+lines the solver and its surrogate feed were regenerated with it).
+It covers the shield-serve benchmark's
 thickness ladder, the service's shields, every material alone and
 over water (up to the mesh's cell cap), the three-layer stack and a
 fast beamline source.  The ``service_responses`` block was written
@@ -41,7 +46,16 @@ surface evaluated at each grid point and each interval's midpoint.
 The result blocks and this one compare as JSON text, so a count that
 became a float (``5000.0`` for ``5000``) fails by name.
 
-Regenerate only on purpose (a physics or sampling change), with::
+Regenerate only on purpose (a physics or sampling change).  First
+see what would move::
+
+    PYTHONPATH=src python tests/test_transport_answers.py --diff
+
+which recomputes every block in memory and prints, per block, each
+key whose numbers moved and its largest relative move (balance
+residuals by absolute move; a changed string or flag by name).  Check
+that only the blocks the change should move did, and by no more than
+it should, then regenerate once with::
 
     PYTHONPATH=src python tests/test_transport_answers.py \\
         > tests/data/transport-answers.json
@@ -637,6 +651,150 @@ def test_beamline_spectra_are_built_once_on_the_default_grid():
     )
 
 
+def test_diff_names_each_moved_key_and_its_largest_move():
+    committed = {
+        "deterministic": {
+            "a": {"absorbed": 0.5, "iterations": 10, "balance_residual": 0.0},
+            "b": {"absorbed": 0.25, "iterations": 12},
+        },
+        "surrogate_digest": "old",
+        "response_matrix": [[1.0, 2.0]],
+    }
+    fresh = json.loads(json.dumps(committed))
+    fresh["deterministic"]["a"]["absorbed"] = 0.5 * (1.0 + 1.0e-12)
+    fresh["deterministic"]["a"]["balance_residual"] = 3.0e-16
+    fresh["surrogate_digest"] = "new"
+    report = diff(committed, fresh).splitlines()
+    assert report[0] == (
+        "deterministic: 1 of 2 keys moved, largest relative move 1e-12"
+    )
+    assert report[1] == (
+        "  a: 1e-12 relative at /absorbed;"
+        " 3e-16 absolute at /balance_residual"
+    )
+    assert report[2] == (
+        "response_matrix: 0 of 1 keys moved, largest relative move 0"
+    )
+    assert report[3:] == [
+        "surrogate_digest: 1 of 1 keys moved, largest relative move 0",
+        "  surrogate_digest: value changed",
+    ]
+
+
+#: Fields compared by absolute rather than relative move: the
+#: solver's balance residual is rounding noise around zero.
+ABSOLUTE_FIELDS = ("balance_residual",)
+
+
+def _moves(old, new, field=""):
+    """Yield ``(field, kind, move)`` for each leaf that differs.
+
+    A number moves by ``|new - old| / max(|new|, |old|)`` (kind
+    ``relative``), or by ``|new - old|`` for :data:`ABSOLUTE_FIELDS`
+    (kind ``absolute``); any other change (a string, a flag, a key or
+    a type) is kind ``changed``.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            if key in old and key in new:
+                yield from _moves(old[key], new[key], f"{field}/{key}")
+            else:
+                yield f"{field}/{key}", "changed", None
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            yield field, "changed", None
+        for index, (a, b) in enumerate(zip(old, new)):
+            yield from _moves(a, b, f"{field}/{index}")
+    elif _as_text(old) == _as_text(new):
+        return
+    elif all(
+        isinstance(x, (int, float)) and not isinstance(x, bool)
+        for x in (old, new)
+    ):
+        move = abs(new - old)
+        if field.rsplit("/", 1)[-1] in ABSOLUTE_FIELDS:
+            yield field, "absolute", move
+        else:
+            yield field, "relative", move / max(abs(new), abs(old))
+    else:
+        yield field, "changed", None
+
+
+def _entries(block, value) -> dict:
+    """A block's entries by key: served responses parsed and keyed by
+    request id, a single value under the block's own name."""
+    if block == "service_responses":
+        return {
+            json.loads(entry["request"])["id"]: json.loads(
+                entry["response"]
+            )
+            for entry in value
+        }
+    if isinstance(value, dict):
+        return value
+    return {block: value}
+
+
+def _describe(moves) -> str:
+    """One moved entry: its largest relative move, each absolute
+    move, and each field that changed other than by number."""
+    relative = [
+        (move, field) for field, kind, move in moves if kind == "relative"
+    ]
+    parts = []
+    if relative:
+        move, field = max(relative)
+        parts.append(f"{move:.3g} relative at {field}")
+    for field, kind, move in moves:
+        if kind == "absolute":
+            parts.append(f"{move:.3g} absolute at {field}")
+        elif kind == "changed":
+            parts.append(f"{field or 'value'} changed")
+    return "; ".join(parts)
+
+
+def diff(committed: dict, fresh: dict) -> str:
+    """For each block, the keys whose numbers moved from ``committed``
+    to ``fresh``, and how far."""
+    lines = []
+    for block in sorted(set(committed) | set(fresh)):
+        old = _entries(block, committed.get(block, {}))
+        new = _entries(block, fresh.get(block, {}))
+        moved = {}
+        for key in sorted(set(old) | set(new)):
+            if key in old and key in new:
+                moves = list(_moves(old[key], new[key]))
+            else:
+                moves = [("", "changed", None)]
+            if moves:
+                moved[key] = moves
+        largest = max(
+            (
+                move
+                for moves in moved.values()
+                for _, kind, move in moves
+                if kind == "relative"
+            ),
+            default=0.0,
+        )
+        lines.append(
+            f"{block}: {len(moved)} of {len(new)} keys moved, largest"
+            f" relative move {largest:.3g}"
+        )
+        lines.extend(
+            f"  {key}: {_describe(moves)}" for key, moves in moved.items()
+        )
+    return "\n".join(lines) + "\n"
+
+
 if __name__ == "__main__":
-    json.dump(compute(), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    if sys.argv[1:] == ["--diff"]:
+        sys.stdout.write(
+            diff(
+                json.loads(FIXTURE.read_text(encoding="utf-8")),
+                json.loads(json.dumps(compute())),
+            )
+        )
+    else:
+        json.dump(compute(), sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
