@@ -84,6 +84,9 @@ class NullSpan:
         """No-op; never swallows exceptions."""
         return False
 
+    def annotate(self, **attrs) -> None:
+        """No-op."""
+
 
 _NULL_SPAN = NullSpan()
 
@@ -128,6 +131,11 @@ class Span:
             self._profile = cProfile.Profile()
             self._profile.enable()
         return self
+
+    def annotate(self, **attrs) -> None:
+        """Add attributes known only once the work is done; the
+        ``end`` record carries them."""
+        self.attrs.update(attrs)
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         """Emit the ``end`` record with durations; never swallows."""

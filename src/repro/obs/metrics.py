@@ -146,7 +146,10 @@ SPANS: Dict[str, str] = {
     "checkpoint.load": "checkpoint read and validation",
     "chaos.trial": "one chaos trial subprocess",
     "campaign.exposure": "one beam exposure",
-    "transport.run": "one batch transport execution",
+    "transport.run": (
+        "one batch transport call: every run it sweeps (histories,"
+        " shards, runs, collision rounds)"
+    ),
     "transport.deterministic": (
         "one deterministic multigroup solve"
     ),

@@ -1,7 +1,8 @@
 """Fork-context process pools whose workers die with their parent.
 
-The service's ``--workers`` pool and a study's shard pool both use
-a :class:`~concurrent.futures.ProcessPoolExecutor` with the ``fork``
+The service's ``--workers`` pool, a study's shard pool and the batch
+engine's ``n_workers`` pool all use a
+:class:`~concurrent.futures.ProcessPoolExecutor` with the ``fork``
 start method: a forked worker inherits the parent's imported modules,
 loaded surrogate store and chaos controller, so it starts in
 milliseconds, where a worker started with ``spawn`` re-imports

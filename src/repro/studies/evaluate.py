@@ -4,14 +4,17 @@ One grid point is a (site, device, weather, cooling, shield) tuple.
 Evaluation builds the paper's flux scenario for it, computes the full
 SDC+DUE FIT decomposition, and — when the point is shielded — runs
 shield transmission on the requested engine to scale the thermal FIT
-contribution.  Per-point MC seeds come from the spec (derived from
-point content, not sharding), so a sharded study merges to exactly
-the tallies of the same grid run unsharded.
+contribution.  A shard's shielded points are answered together
+(:func:`~repro.transport.api.answer_many`), so its batch points on
+one shield share a rolling sweep.  Per-point MC seeds come from the
+spec (derived from point content, not sharding), and every point's
+tallies are its own whatever it shares a sweep with, so a sharded
+study merges to exactly the tallies of the same grid run unsharded.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.core.fit import FitCalculator
 from repro.devices import get_device
@@ -23,7 +26,12 @@ from repro.environment import (
 from repro.service.protocol import SERVICE_SITES, SHIELDS
 from repro.spectra.beamlines import rotax_spectrum
 from repro.studies.spec import Shard, StudySpec
-from repro.transport.api import TransportQuery, answer
+from repro.transport.api import (
+    TransportAnswer,
+    TransportQuery,
+    answer,
+    answer_many,
+)
 
 __all__ = ["evaluate_shard"]
 
@@ -34,13 +42,32 @@ _WEATHER = {
 }
 
 
+def _shield(point: Dict[str, str], n_neutrons: int, engine: str) -> dict:
+    """A shielded point's transmission query, less its seed."""
+    material, thickness_cm = SHIELDS[point["shield"]]
+    return dict(
+        mode="transmission",
+        material=material,
+        thickness_cm=thickness_cm,
+        source_spectrum=rotax_spectrum(),
+        n_neutrons=n_neutrons,
+        engine=engine,
+    )
+
+
 def evaluate_point(
     point: Dict[str, str],
     n_neutrons: int,
     seed: int,
     engine: str,
+    served: Optional[TransportAnswer] = None,
 ) -> dict:
-    """Evaluate one grid point; returns a JSON-ready row."""
+    """Evaluate one grid point; returns a JSON-ready row.
+
+    ``served`` is the answer to a shielded point's shield query when
+    the caller has it already (:func:`evaluate_shard` does); without
+    it the point asks the facade itself.
+    """
     site = SERVICE_SITES[point["site"]]
     weather = _WEATHER[point["weather"]]
     if point["cooling"] == "outdoor":
@@ -70,18 +97,12 @@ def evaluate_point(
         "mc_transmitted_thermal": 0,
     }
     if point["shield"] != "none":
-        material, thickness_cm = SHIELDS[point["shield"]]
-        served = answer(
-            TransportQuery(
-                mode="transmission",
-                material=material,
-                thickness_cm=thickness_cm,
-                source_spectrum=rotax_spectrum(),
-                n_neutrons=n_neutrons,
-                seed=seed,
-                engine=engine,
+        if served is None:
+            served = answer(
+                TransportQuery(
+                    seed=seed, **_shield(point, n_neutrons, engine)
+                )
             )
-        )
         result = served.result
         fraction = result.thermal_transmission_fraction()
         row["shield_transmission"] = fraction
@@ -104,17 +125,38 @@ def evaluate_point(
 
 
 def evaluate_shard(shard: Shard, spec: StudySpec, engine: str) -> dict:
-    """Evaluate every point in a shard; returns the shard payload."""
+    """Evaluate every point in a shard; returns the shard payload.
+
+    The shielded points' queries go to the facade in one
+    :func:`~repro.transport.api.answer_many` call; each row is then
+    exactly what :func:`evaluate_point` gives the point alone.
+    """
+    # point_seed() hashes the spec seed with the point's content —
+    # deterministic, sharding-independent; the two suppressions
+    # below mark seeds that come from it.
+    seeds = [spec.point_seed(point) for point in shard.points]
+    shielded = [
+        j
+        for j, point in enumerate(shard.points)
+        if point["shield"] != "none"
+    ]
+    queries = [
+        TransportQuery(
+            seed=seeds[j],
+            **_shield(shard.points[j], spec.n_neutrons, engine),
+        )
+        for j in shielded
+    ]
+    served = dict(zip(shielded, answer_many(queries)))  # repro: noqa REP101
     rows = [
         evaluate_point(
             point,
             n_neutrons=spec.n_neutrons,
-            # point_seed() hashes the spec seed with the point's
-            # content — deterministic, sharding-independent.
-            seed=spec.point_seed(point),  # repro: noqa REP101
+            seed=seeds[j],  # repro: noqa REP101
             engine=engine,
+            served=served.get(j),
         )
-        for point in shard.points
+        for j, point in enumerate(shard.points)
     ]
     return {
         "shard": shard.index,
