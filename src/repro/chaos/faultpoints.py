@@ -122,13 +122,14 @@ _declare(
 _declare(
     "batch.worker",
     "repro.transport.batch",
-    "a transport sweep starting (in-process or in a pool worker)",
+    "a shard admitted to a rolling transport sweep"
+    " (in-process or in a pool worker)",
     actions=("raise-transient", "crash", "kill-worker"),
 )
 _declare(
     "batch.merge",
     "repro.transport.batch",
-    "a sweep tally being delivered to the merge accumulator",
+    "a shard's tally being delivered to the merge accumulator",
     actions=("raise-transient", "duplicate"),
 )
 _declare(
