@@ -3,7 +3,7 @@
 `repro.faults` models faults in the *device under test*; this module
 instruments the *test harness itself*.  A :func:`fault_point` call
 marks a place where real campaigns die — a checkpoint write, a plan
-step about to execute, a pool worker starting a sweep — and a chaos
+step about to execute, a pool worker starting a query — and a chaos
 controller (see :mod:`repro.chaos.schedule`) can deterministically
 fire a failure action there: raise a transient fault, SIGKILL the
 process, tear a write in half, advance the clock past a deadline.
@@ -122,9 +122,8 @@ _declare(
 _declare(
     "batch.worker",
     "repro.transport.batch",
-    "a shard admitted to a rolling transport sweep"
-    " (in-process or in a pool worker)",
-    actions=("raise-transient", "crash", "kill-worker"),
+    "a shard admitted to a rolling transport sweep",
+    actions=("raise-transient", "crash"),
 )
 _declare(
     "batch.merge",

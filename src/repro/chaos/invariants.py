@@ -17,9 +17,9 @@ asserts the runtime's recovery *contract*, not merely survival:
 * **Budgets hold under delay.**  After an injected clock jump, no
   further step runs, a DEADLINE event is recorded, and the
   checkpointed remainder resumes byte-identically.
-* **Worker death degrades, flagged.**  A killed pool worker's shards
-  are recomputed in-process with ``degraded_shards`` set and tallies
-  unchanged.
+* **Shard failure degrades, flagged.**  A batch transport shard
+  whose admission or delivery faulted is transported again with
+  ``degraded_shards`` set and tallies unchanged.
 * **The FIT service stays correct under failure.**  A corrupt or
   torn cache entry is quarantined and recomputed, never served; a
   thundering herd of identical queries costs one computation and
@@ -361,7 +361,7 @@ class InvariantChecker:
         """Canonical tallies of the clean serial transport run."""
         if "transport" not in self._clean:
             self._clean["transport"] = canon_transport(
-                self._run_transport(n_workers=1)
+                self._run_transport()
             )
         return self._clean["transport"]
 
@@ -402,7 +402,7 @@ class InvariantChecker:
             self._clean["service"] = canon_service(line)
         return self._clean["service"]
 
-    def _run_transport(self, n_workers: int) -> TransportResult:
+    def _run_transport(self) -> TransportResult:
         if self._engine is None:
             self._engine = BatchTransportEngine(
                 SlabGeometry([Layer(WATER, 4.0)])
@@ -412,7 +412,6 @@ class InvariantChecker:
             source_energy_ev=TRANSPORT_SOURCE_EV,
             seed=TRANSPORT_SEED,
             batch_size=TRANSPORT_BATCH_SIZE,
-            n_workers=n_workers,
         )
 
     @staticmethod
@@ -851,23 +850,8 @@ class InvariantChecker:
         clean = self.clean_transport()
         violations: List[str] = []
         controller = ChaosController(spec)
-        if spec.action == chaos_actions.KILL_WORKER:
-            with activated(controller):
-                result = self._run_transport(n_workers=2)
-            # The kill fires in forked workers; the parent-side proof
-            # is the degradation flag plus unchanged tallies.
-            fired = result.degraded_shards > 0
-            if not fired:
-                violations.append(
-                    "worker kill produced no degraded shard"
-                )
-            if canon_transport(result) != clean:
-                violations.append(
-                    "post-worker-death tallies diverged from clean"
-                )
-            return violations, fired
         with activated(controller):
-            result = self._run_transport(n_workers=1)
+            result = self._run_transport()
         fired = controller.fired()
         if not fired:
             violations.append("fault never fired")
@@ -890,7 +874,7 @@ class InvariantChecker:
         violations: List[str] = []
         controller = ChaosController(spec)
         with activated(controller):
-            result = self._run_transport(n_workers=1)
+            result = self._run_transport()
         fired = controller.fired()
         if not fired:
             violations.append("fault never fired")

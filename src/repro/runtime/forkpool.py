@@ -1,7 +1,6 @@
 """Fork-context process pools whose workers die with their parent.
 
-The service's ``--workers`` pool, a study's shard pool and the batch
-engine's ``n_workers`` pool all use a
+The service's ``--workers`` pool and a study's shard pool both use a
 :class:`~concurrent.futures.ProcessPoolExecutor` with the ``fork``
 start method: a forked worker inherits the parent's imported modules,
 loaded surrogate store and chaos controller, so it starts in
@@ -10,13 +9,13 @@ milliseconds, where a worker started with ``spawn`` re-imports
 ``fork``, and :func:`fork_pool` closes both:
 
 * **Fork while threaded.**  A child forked while another thread
-  holds a lock inherits the lock held forever.  The executor starts
-  a manager thread on its first ``submit``; Python 3.11 and later
-  fork every worker of a ``fork`` pool before that thread starts,
-  but 3.9 and 3.10 fork on demand, after it.  On those versions
-  :func:`fork_pool` forks every worker at once, from the calling
-  thread.  The caller must still call it with no other Python
-  thread running.
+  holds a lock inherits the lock held forever.  So :func:`fork_pool`
+  opens no pool, and its caller runs the work in-process, while
+  another Python thread runs.  The executor starts a manager thread
+  on its first ``submit``; Python 3.11 and later fork every worker
+  of a ``fork`` pool before that thread starts, but 3.9 and 3.10
+  fork on demand, after it.  On those versions :func:`fork_pool`
+  forks every worker at once, from the calling thread.
 * **Orphaned workers.**  A worker blocks on the call queue, whose
   write end every sibling also inherits, so a SIGKILLed parent
   never gives it EOF.  Each worker runs a watchdog thread that
@@ -37,6 +36,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Optional
 
 from repro.obs import core as obs
 
@@ -47,13 +47,16 @@ __all__ = ["PARENT_POLL_S", "fork_pool"]
 PARENT_POLL_S = 0.2
 
 
-def fork_pool(n_workers: int) -> ProcessPoolExecutor:
-    """A ``fork``-context pool of ``n_workers`` parent-bound workers.
+def fork_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
+    """A ``fork``-context pool of ``n_workers`` parent-bound workers,
+    or ``None``, forking nothing, while another Python thread runs.
 
-    Call it with no other Python thread running: every worker is
-    forked before the pool starts a thread of its own (here on
-    Python 3.9 and 3.10, by the first ``submit`` on later versions).
+    Every worker is forked before the pool starts a thread of its own
+    (here on Python 3.9 and 3.10, by the first ``submit`` on later
+    versions).
     """
+    if threading.active_count() > 1:
+        return None
     pool = ProcessPoolExecutor(
         max_workers=n_workers,
         mp_context=multiprocessing.get_context("fork"),

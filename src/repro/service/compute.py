@@ -31,7 +31,6 @@ mid-query.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -306,15 +305,12 @@ class QueryExecutor:
     def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
         """The worker pool, forked on first use; ``None`` after a
         worker death, or while another thread runs."""
-        if (
-            self._pool is None
-            and not self._pool_lost
-            and threading.active_count() == 1
-        ):
+        if self._pool is None and not self._pool_lost:
             self._pool = fork_pool(self.n_workers)
-            # Fork the workers now so they inherit current process
-            # state (the chaos controller, for one).
-            self._pool.submit(_noop).result()
+            if self._pool is not None:
+                # Fork the workers now so they inherit current
+                # process state (the chaos controller, for one).
+                self._pool.submit(_noop).result()
         return self._pool
 
     # -- execution -----------------------------------------------------

@@ -26,10 +26,10 @@ to whole grids:
 evaluates their *first attempts* on a worker pool
 (:func:`~repro.runtime.forkpool.fork_pool`, one worker per usable
 CPU, at most one per pending shard) when all of these hold: two or
-more shards are pending, more than one CPU is usable, no other
-Python thread is running (``fork`` is only safe from a
-single-threaded process) and the evaluator is the library's own
-:func:`~repro.studies.evaluate.evaluate_shard`.
+more shards are pending, more than one CPU is usable, the evaluator
+is the library's own :func:`~repro.studies.evaluate.evaluate_shard`
+and ``fork_pool`` opens a pool (it refuses while another Python
+thread runs: ``fork`` is only safe from a single-threaded process).
 A caller-supplied ``evaluate`` hook always runs in the caller's
 process, where its side effects belong.  The pool opens inside
 :meth:`StudyScheduler.run`, never in the constructor, and closes
@@ -52,10 +52,9 @@ store and report bytes therefore do not depend on the process count.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,7 +107,8 @@ class _ShardPool:
     order; the scheduler takes them back in the same order.
 
     Args:
-        n_workers: pool size.
+        executor: the worker processes.
+        n_workers: their number.
         spec: the study (sent to workers with each shard).
         shards: the pending shards, in plan order.
         pick: the engine the scheduler would pick now.
@@ -118,13 +118,14 @@ class _ShardPool:
 
     def __init__(
         self,
+        executor: ProcessPoolExecutor,
         n_workers: int,
         spec: StudySpec,
         shards: List[Shard],
         pick: Callable[[], str],
         stored: Callable[[Shard], bool],
     ) -> None:
-        self._executor = fork_pool(n_workers)
+        self._executor = executor
         self._n_workers = n_workers
         self._spec = spec
         self._ahead = deque(shards)
@@ -377,13 +378,13 @@ class StudyScheduler:
         """A worker pool for ``pending``'s first attempts, or ``None``
         to evaluate them all in-process (see module docstring)."""
         n_workers = min(_usable_cpus(), len(pending))
-        if (
-            n_workers < 2
-            or threading.active_count() > 1
-            or self._evaluate is not evaluation.evaluate_shard
-        ):
+        if n_workers < 2 or self._evaluate is not evaluation.evaluate_shard:
+            return None
+        executor = fork_pool(n_workers)
+        if executor is None:
             return None
         return _ShardPool(
+            executor,
             n_workers,
             self.spec,
             pending,

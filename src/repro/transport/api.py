@@ -488,7 +488,6 @@ def _negotiate(
     query: TransportQuery,
     store: Optional[SurrogateStore],
     blocked: FrozenSet[str],
-    budget_pressure: bool,
 ) -> Union[TransportAnswer, _LivePick]:
     """A certified surrogate answer to ``query``, else its live pick."""
     requested = query.engine
@@ -505,9 +504,7 @@ def _negotiate(
         )
     elif requested in _NEGOTIATED:
         miss_reason = "no-store"
-    engine, cascade_reason = pick_live_engine(
-        requested, blocked=blocked, budget_pressure=budget_pressure
-    )
+    engine, cascade_reason = pick_live_engine(requested, blocked=blocked)
     return _LivePick(
         query,
         engine,
@@ -521,7 +518,6 @@ def answer(
     query: TransportQuery,
     store=_USE_DEFAULT,
     blocked: FrozenSet[str] = frozenset(),
-    budget_pressure: bool = False,
 ) -> TransportAnswer:
     """Answer a transport query under its accuracy/engine contract.
 
@@ -533,8 +529,6 @@ def answer(
             process-wide store from :func:`configure`; pass ``None``
             to force live engines).
         blocked: live engines currently unavailable (open breakers).
-        budget_pressure: skip the requested engine for the next one
-            in the cascade (see :func:`pick_live_engine`).
 
     Returns:
         A :class:`TransportAnswer`; ``provenance.degraded`` is set
@@ -542,7 +536,7 @@ def answer(
     """
     if store is _USE_DEFAULT:
         store = _DEFAULT_STORE
-    picked = _negotiate(query, store, blocked, budget_pressure)
+    picked = _negotiate(query, store, blocked)
     return _run_picks([picked])[0]
 
 
@@ -562,7 +556,7 @@ def answer_many(
     """
     return _run_picks(
         [
-            _negotiate(query, _DEFAULT_STORE, frozenset(), False)
+            _negotiate(query, _DEFAULT_STORE, frozenset())
             for query in queries
         ]
     )

@@ -53,8 +53,9 @@ shard is the unit of fault isolation and delivery: the ``batch.worker``
 fault point fires when its first stream is admitted, and its tally
 is delivered (the ``batch.merge`` fault point) once the sweep is
 done.  The shards that failed are transported again, once, in a
-sweep of their own.  With ``n_workers > 1`` each pool task is one
-shard, swept alone.
+sweep of their own.  The engine runs in the calling process: its
+callers (a study's shard pool, the service's ``--workers`` pool)
+already run in parallel above it.
 
 Determinism contract
 --------------------
@@ -77,9 +78,9 @@ tallies are kept per stream.  Consequences:
 
 * same seed → same tallies, bit for bit;
 * tallies are independent of ``batch_size`` (which only sets how many
-  histories are in flight and how streams group into shards), of
-  ``n_workers`` (which only sets where shards run), and of the other
-  runs a :meth:`BatchTransportEngine.run_many` call carries.
+  histories are in flight and how streams group into shards) and of
+  the other runs a :meth:`BatchTransportEngine.run_many` call
+  carries.
 
 Geometry boundaries, per-layer cross-section coefficients and
 per-material scatter tables are built once per engine and reused by
@@ -89,8 +90,6 @@ every sweep, instead of being re-derived per collision.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -104,7 +103,6 @@ from repro.physics.units import (
     THERMAL_CUTOFF_EV,
     THERMAL_ENERGY_EV,
 )
-from repro.runtime.forkpool import fork_pool
 from repro.spectra.spectrum import Spectrum
 from repro.transport.montecarlo import _MAX_COLLISIONS, SlabGeometry
 from repro.transport.tallies import TransportResult, TransportTally
@@ -112,7 +110,7 @@ from repro.transport.tallies import TransportResult, TransportTally
 #: Histories per randomness stream.  This is the granularity of the
 #: ``SeedSequence`` spawn tree and is deliberately **not** tunable per
 #: run: tallies depend on it, so freezing it is what makes results
-#: independent of ``batch_size`` and ``n_workers``.
+#: independent of ``batch_size``.
 HISTORIES_PER_STREAM = 4096
 
 #: Default width of the rolling sweep: histories in flight at once
@@ -209,8 +207,7 @@ class _ScatterTable:
 
 @dataclass(frozen=True)
 class _GeometryTables:
-    """Immutable per-geometry cache shared by every sweep (picklable,
-    so worker processes receive it ready-made)."""
+    """Immutable per-geometry cache shared by every sweep."""
 
     bounds_cm: np.ndarray  # (L + 1,) layer boundaries
     sigma_scatter_per_cm: np.ndarray  # (L,) energy-independent
@@ -296,10 +293,9 @@ class _Shard:
 class _RollingSweep:
     """Shards transported together (see "The rolling sweep" above).
 
-    Picklable before it is swept: a pool worker receives one per
-    shard.  :func:`_roll` sweeps it once, filling ``parts`` with the
-    tallies of every shard it admitted, ``failures`` with the error
-    of every shard whose admission raised, and ``rounds``.
+    :func:`_roll` sweeps it once, filling ``parts`` with the tallies
+    of every shard it admitted, ``failures`` with the error of every
+    shard whose admission raised, and ``rounds``.
     """
 
     tables: _GeometryTables
@@ -312,7 +308,6 @@ class _RollingSweep:
     failures: Dict[int, Exception] = field(default_factory=dict)
     #: Collision rounds swept.
     rounds: int = 0
-    swept: bool = False
 
 
 def _live_streams(rngs, stream: np.ndarray) -> List[tuple]:
@@ -356,7 +351,6 @@ def _layered_alpha(
 
 def _roll(sweep: _RollingSweep) -> None:
     """Transport every shard of ``sweep`` (see :class:`_RollingSweep`)."""
-    sweep.swept = True
     tables = sweep.tables
     bath_energy_ev = sweep.bath_energy_ev
     source_energy_ev = sweep.source_energy_ev
@@ -637,34 +631,6 @@ def _roll(sweep: _RollingSweep) -> None:
     sweep.rounds = rounds
 
 
-def _simulate_sweep(sweep: _RollingSweep, shard: int) -> _Part:
-    """The tallies of ``shard``, sweeping ``sweep`` first if need be.
-
-    Raises:
-        Exception: whatever the shard's admission raised.
-    """
-    if not sweep.swept:
-        _roll(sweep)
-    if shard in sweep.failures:
-        raise sweep.failures[shard]
-    return sweep.parts[shard]
-
-
-def _sweep_worker(args: Tuple[int, _RollingSweep]) -> Tuple[int, _Part]:
-    """``(shard, sweep)`` -> ``(shard, part)``, so parts are delivered
-    by shard identity whatever order they arrive in."""
-    shard, sweep = args
-    return shard, _simulate_sweep(sweep, shard)
-
-
-def _pool_shard(
-    args: Tuple[int, _RollingSweep],
-) -> Tuple[int, _Part, int]:
-    """A pool task: one shard swept alone; ``(shard, part, rounds)``."""
-    shard, part = _sweep_worker(args)
-    return shard, part, args[1].rounds
-
-
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
@@ -704,7 +670,6 @@ class BatchTransportEngine:
         source_spectrum: Optional[Spectrum] = None,
         seed: int = 0,
         batch_size: Optional[int] = None,
-        n_workers: Optional[int] = None,
     ) -> TransportResult:
         """Transport ``n_neutrons`` and return a frozen result.
 
@@ -722,8 +687,6 @@ class BatchTransportEngine:
                 ``batch_size // HISTORIES_PER_STREAM`` streams (at
                 least one) make a shard.  Affects memory and speed
                 only — tallies are invariant.
-            n_workers: if > 1, sweep each shard on a worker process
-                and merge tallies.  Tallies are invariant.
 
         Raises:
             RuntimeError: if the merged tallies lose or invent a
@@ -736,7 +699,6 @@ class BatchTransportEngine:
             source_energy_ev=source_energy_ev,
             source_spectrum=source_spectrum,
             batch_size=batch_size,
-            n_workers=n_workers,
         )[0]
 
     def run_many(
@@ -746,7 +708,6 @@ class BatchTransportEngine:
         source_energy_ev: Optional[float] = None,
         source_spectrum: Optional[Spectrum] = None,
         batch_size: Optional[int] = None,
-        n_workers: Optional[int] = None,
     ) -> List[TransportResult]:
         """One run of ``n_neutrons`` per seed, all in one rolling sweep.
 
@@ -774,10 +735,6 @@ class BatchTransportEngine:
         if batch_size is not None and batch_size <= 0:
             raise ValueError(
                 f"batch_size must be positive, got {batch_size}"
-            )
-        if n_workers is not None and n_workers <= 0:
-            raise ValueError(
-                f"n_workers must be positive, got {n_workers}"
             )
 
         width = batch_size or DEFAULT_BATCH_SIZE
@@ -812,7 +769,7 @@ class BatchTransportEngine:
             shards=len(shards),
             runs=len(seeds),
         ) as sp:
-            parts, failed, rounds = self._run_shards(sweep, n_workers)
+            parts, failed, rounds = self._run_shards(sweep)
             sp.annotate(rounds=rounds)
             results = []
             for run in range(len(seeds)):
@@ -833,34 +790,27 @@ class BatchTransportEngine:
         return results
 
     def _run_shards(
-        self,
-        sweep: _RollingSweep,
-        n_workers: Optional[int],
+        self, sweep: _RollingSweep
     ) -> Tuple[List[_Part], List[int], int]:
         """Run every shard of ``sweep``, riding out shard faults.
 
-        In-process, every shard shares ``sweep``.  With ``n_workers >
-        1``, more than one shard and no other Python thread running
-        (``fork`` is only safe from a single-threaded process), each
-        shard is swept alone on a
-        :func:`~repro.runtime.forkpool.fork_pool` worker.
-
         A shard's tally is a pure function of its streams, so a shard
-        that failed (its admission faulted, its pool worker was
-        killed or the executor broke, its delivery faulted) is simply
-        transported again, once, in-process — all such shards in one
-        sweep — and delivered again.  Shard-indexed delivery keeps the
-        retry — and any duplicated delivery — idempotent.
+        that failed (its admission or its delivery faulted) is simply
+        transported again, once — all such shards in one sweep, in
+        shard order — and delivered again.  A sweep that raises
+        outside a fault point fails every shard.  Shard-indexed
+        delivery keeps the retry — and any duplicated delivery —
+        idempotent.
 
         Returns:
             ``(parts, failed, rounds)``: ``parts`` ordered by shard
-            index, the shards that needed the in-process retry, and
-            the collision rounds swept.
+            index, the shards that needed the retry, and the
+            collision rounds swept.
 
         Raises:
-            Exception: whatever the in-process retry of a shard
-                raises — one retry is the recovery policy, a second
-                failure is a real bug.
+            Exception: whatever the retry of a shard raises — one
+                retry is the recovery policy, a second failure is a
+                real bug.
             RuntimeError: if a shard's part was never delivered.
         """
         parts: Dict[int, _Part] = {}
@@ -868,63 +818,43 @@ class BatchTransportEngine:
         def _store(shard: int, part: _Part) -> None:
             parts[shard] = part
 
-        def _deliver(shard: int, part: _Part) -> None:
-            fault_point(
-                "batch.merge", index=shard, part=part, store=_store
-            )
-            _store(shard, part)
+        def _deliver(swept: _RollingSweep, shard: int) -> None:
+            if shard in swept.failures:
+                raise swept.failures[shard]
+            # A part the sweep never made fails the check below.
+            if shard in swept.parts:
+                part = swept.parts[shard]
+                fault_point(
+                    "batch.merge", index=shard, part=part, store=_store
+                )
+                _store(shard, part)
 
         shards = sweep.shards
         failed: List[int] = []
-        rounds = 0
-        if (
-            n_workers is not None
-            and n_workers > 1
-            and len(shards) > 1
-            and threading.active_count() == 1
-        ):
-            with fork_pool(min(n_workers, len(shards))) as pool:
-                futures = [
-                    pool.submit(
-                        _pool_shard,
-                        (i, _alone(sweep, i)),
-                    )
-                    for i in shards
-                ]
-                for i, future in zip(shards, futures):
-                    try:
-                        shard, part, swept = future.result()
-                        rounds += swept
-                        _deliver(shard, part)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except BrokenProcessPool:
-                        # The pool died under this shard (worker
-                        # SIGKILL / OOM); every not-yet-delivered
-                        # future fails the same way and each shard
-                        # falls back in-process.
-                        failed.append(i)
-                    except Exception:  # noqa: BLE001 — worker isolation point
-                        failed.append(i)
+        try:
+            _roll(sweep)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception:  # noqa: BLE001 — shard isolation point
+            failed = list(shards)
         else:
             for i in shards:
                 try:
-                    shard, part = _sweep_worker((i, sweep))
-                    _deliver(shard, part)
+                    _deliver(sweep, i)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception:  # noqa: BLE001 — shard isolation point
                     failed.append(i)
-            rounds += sweep.rounds
+        rounds = sweep.rounds
 
-        # One in-process retry per failed shard; determinism of the
-        # seed streams makes the recomputed tally bit-identical to
-        # what the failed attempt would have produced.
+        # One retry per failed shard; determinism of the seed streams
+        # makes the recomputed tally bit-identical to what the failed
+        # attempt would have produced.
         if failed:
             retry = _alone(sweep, *failed)
+            _roll(retry)
             for i in failed:
-                shard, part = _sweep_worker((i, retry))
-                _deliver(shard, part)
+                _deliver(retry, i)
             rounds += retry.rounds
 
         missing = [i for i in shards if i not in parts]

@@ -86,9 +86,8 @@ class TransportResult:
     Attributes:
         absorbed_by_material: absorptions per material name (Monte
             Carlo and solver).
-        degraded_shards: shards the batch engine recomputed
-            in-process after a pool worker died or a delivery
-            faulted.  Tallies are unaffected (shards are
+        degraded_shards: shards the batch engine recomputed after
+            their admission or delivery faulted.  Tallies are unaffected (shards are
             deterministic), but the run did not go to plan — mirrors
             the ``degraded`` flag on exposures.
         absorbed_by_layer: absorbed fraction per geometry layer

@@ -131,7 +131,7 @@ class TestSpec:
 
     def test_round_trip(self):
         spec = ChaosSpec(
-            "batch.worker",
+            "service.dispatch",
             "kill-worker",
             fire_at=0,
             worker_only=True,
@@ -176,7 +176,7 @@ class TestController:
     def test_worker_only_spares_origin_process(self):
         controller = ChaosController(
             ChaosSpec(
-                "batch.worker",
+                "service.dispatch",
                 "kill-worker",
                 fire_at=0,
                 worker_only=True,
@@ -185,7 +185,7 @@ class TestController:
         with activated(controller):
             # Same pid as the controller's origin: must not fire
             # (firing would SIGKILL the test process).
-            fault_point("batch.worker", shard=0)
+            fault_point("service.dispatch", kind="fit")
         assert not controller.fired()
         assert controller._origin_pid == os.getpid()
 

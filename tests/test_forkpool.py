@@ -1,15 +1,17 @@
-"""Fork-pool workers die with their parent and shed its observer.
+"""Fork-pool workers die with their parent and shed its observer,
+and no pool forks while another thread runs.
 
 A worker blocks on its pool's call queue, whose write end every
-sibling inherits, so a SIGKILLed parent never gives it EOF.  Each
-test here SIGKILLs a forked owner of a live pool (the service's
-``--workers`` pool, then a study's shard pool) and requires every
+sibling inherits, so a SIGKILLed parent never gives it EOF.  Two
+tests here SIGKILL a forked owner of a live pool (the service's
+``--workers`` pool, then a study's shard pool) and require every
 worker gone within a bounded wait.
 """
 
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -130,3 +132,22 @@ def test_workers_drop_the_inherited_observer(tmp_path):
         assert obs.enabled()
     # Only the parent's begin/end pair: no worker wrote or flushed.
     assert len(trace.read_text().splitlines()) == 2
+
+
+def test_no_worker_is_forked_while_another_thread_runs(
+    no_fork_while_threaded,
+):
+    before = {child.pid for child in multiprocessing.active_children()}
+    release = threading.Event()
+    bystander = threading.Thread(target=release.wait)
+    bystander.start()
+    try:
+        assert fork_pool(2) is None
+        children = {
+            child.pid for child in multiprocessing.active_children()
+        }
+        assert children == before
+    finally:
+        release.set()
+        bystander.join(10.0)
+    assert not bystander.is_alive()

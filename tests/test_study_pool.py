@@ -10,12 +10,11 @@ byte for byte.
 import json
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
 
-from repro.chaos.faultpoints import activated
-from repro.chaos.schedule import ChaosController, ChaosSpec
 from repro.obs.core import Observer, observing
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.budget import CircuitBreaker, RetryPolicy
@@ -260,23 +259,36 @@ class TestInProcessFallbacks:
 
 
 class TestWorkerFaults:
-    def test_killed_worker_falls_back_in_process(self, tmp_path, cpus):
+    def test_killed_worker_falls_back_in_process(
+        self, tmp_path, cpus, monkeypatch
+    ):
         cpus(1)
         serial = _scheduler(tmp_path / "serial").run()
-        cpus(2)
+        parent = os.getpid()
         marker = tmp_path / "fired"
-        controller = ChaosController(
-            ChaosSpec(
-                site="batch.worker",
-                action="kill-worker",
-                worker_only=True,
-                marker_path=str(marker),
-            )
+        real = evaluation.evaluate_point
+
+        def killed_in_a_worker(point, **kwargs):
+            if os.getpid() != parent:
+                flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+                try:
+                    fd = os.open(marker, flags)
+                except FileExistsError:
+                    pass
+                else:
+                    os.write(fd, str(os.getpid()).encode())
+                    os.close(fd)
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real(point, **kwargs)
+
+        # Forked workers inherit the patched module global.
+        monkeypatch.setattr(
+            evaluation, "evaluate_point", killed_in_a_worker
         )
-        with activated(controller):
-            pooled, metrics = _observed_run(_scheduler(tmp_path / "pooled"))
+        cpus(2)
+        pooled, metrics = _observed_run(_scheduler(tmp_path / "pooled"))
         assert marker.exists(), "no worker was killed"
-        assert not controller.fired()  # never in this process
+        assert int(marker.read_text()) != parent  # never in this process
         assert pooled.status == "complete"
         assert _commits_per_shard(tmp_path / "pooled") == {
             shard: 1 for shard in range(SPEC.n_shards)
@@ -350,8 +362,8 @@ class TestInProcessCases:
         real_fork_pool = scheduler_module.fork_pool
 
         def spy(n_workers):
-            forks.append(n_workers)
-            return real_fork_pool(n_workers)
+            forks.append(real_fork_pool(n_workers))
+            return forks[-1]
 
         monkeypatch.setattr(scheduler_module, "fork_pool", spy)
         before = {child.pid for child in multiprocessing.active_children()}
@@ -366,4 +378,5 @@ class TestInProcessCases:
             assert children <= before
             time.sleep(0.005)
         assert gateway.status(digest)["status"] == "complete"
-        assert forks == []
+        # The study runs on the gateway's thread: no pool opens.
+        assert forks == [None]

@@ -14,7 +14,7 @@ was rewritten for speed, so the rewritten round must reproduce every
 count exactly.  It covers the study's shields, a service-sized run,
 every material alone and over water, a three-layer stack, stacks
 with a vacuum layer, each stack under a fast and a thermal source, a
-parallel run and the collision cap.  The ``deterministic`` block was
+run of one-stream shards (``parallel/water``) and the collision cap.  The ``deterministic`` block was
 written by the deterministic engine as it stood before its response
 build was blocked and its source kernel memoised, so the rewritten
 solver must reproduce every answer exactly, iteration counts and
@@ -212,7 +212,6 @@ def _batch_tallies() -> dict:
         STUDY_NEUTRONS,
         source_spectrum=rotax,
         batch_size=4096,
-        n_workers=2,
     )
     vacuum_stacks = {
         "alone": ([Layer(AIR, 1.0)], 0),
@@ -578,7 +577,7 @@ def test_answers_match_the_fixture_exactly(engine_numbers):
         assert _as_text(actual["deterministic"][key]) == _as_text(
             pinned
         ), key
-    # Sharding over worker processes never changes a tally.
+    # How streams group into shards never changes a tally.
     tallies = actual["batch_tallies"]
     assert tallies["parallel/water"] == tallies["study/water"]
 

@@ -1,7 +1,7 @@
-"""Worker death and shard-delivery faults in the batch engine.
+"""Shard admission and delivery faults in the batch engine.
 
-Shards are whole seed-stream groups, so the in-process retry after a
-failure recomputes bit-identical tallies; the only observable trace
+Shards are whole seed-stream groups, so the retry after a failure
+recomputes bit-identical tallies; the only observable trace
 of trouble must be the ``degraded_shards`` flag.  The engines' own
 consistency checks (neutron balance, every shard delivered) must
 still fire under ``python -O``.
@@ -36,25 +36,18 @@ def engine():
     return BatchTransportEngine(SlabGeometry([Layer(WATER, 4.0)]))
 
 
+def _run(engine):
+    return engine.run(
+        N_NEUTRONS,
+        source_energy_ev=1.0e6,
+        seed=7,
+        batch_size=BATCH_SIZE,
+    )
+
+
 @pytest.fixture(scope="module")
 def clean(engine):
-    return engine.run(
-        N_NEUTRONS,
-        source_energy_ev=1.0e6,
-        seed=7,
-        batch_size=BATCH_SIZE,
-        n_workers=1,
-    )
-
-
-def _run(engine, n_workers):
-    return engine.run(
-        N_NEUTRONS,
-        source_energy_ev=1.0e6,
-        seed=7,
-        batch_size=BATCH_SIZE,
-        n_workers=n_workers,
-    )
+    return _run(engine)
 
 
 def _same_tallies(a, b):
@@ -72,11 +65,6 @@ class TestCleanRuns:
     def test_degraded_shards_zero_by_default(self, clean):
         assert clean.degraded_shards == 0
 
-    def test_parallel_matches_serial(self, engine, clean):
-        parallel = _run(engine, n_workers=2)
-        assert _same_tallies(parallel, clean)
-        assert parallel.degraded_shards == 0
-
 
 class TestShardFailures:
     @pytest.mark.parametrize("action", ["raise-transient", "crash"])
@@ -85,27 +73,9 @@ class TestShardFailures:
             ChaosSpec("batch.worker", action, fire_at=1)
         )
         with activated(controller):
-            result = _run(engine, n_workers=1)
+            result = _run(engine)
         assert controller.fired()
         assert result.degraded_shards == 1
-        assert _same_tallies(result, clean)
-
-    def test_pool_worker_death_degrades_and_recovers(
-        self, engine, clean
-    ):
-        controller = ChaosController(
-            ChaosSpec(
-                "batch.worker",
-                "kill-worker",
-                fire_at=0,
-                worker_only=True,
-            )
-        )
-        with activated(controller):
-            result = _run(engine, n_workers=2)
-        # The SIGKILL lands in forked pool workers only; the parent
-        # recomputes their shards in-process and flags the run.
-        assert result.degraded_shards > 0
         assert _same_tallies(result, clean)
 
     def test_merge_fault_retried(self, engine, clean):
@@ -113,7 +83,7 @@ class TestShardFailures:
             ChaosSpec("batch.merge", "raise-transient", fire_at=0)
         )
         with activated(controller):
-            result = _run(engine, n_workers=1)
+            result = _run(engine)
         assert controller.fired()
         assert result.degraded_shards == 1
         assert _same_tallies(result, clean)
@@ -123,7 +93,7 @@ class TestShardFailures:
             ChaosSpec("batch.merge", "duplicate", fire_at=1)
         )
         with activated(controller):
-            result = _run(engine, n_workers=1)
+            result = _run(engine)
         assert controller.fired()
         assert result.degraded_shards == 0
         assert _same_tallies(result, clean)
@@ -146,22 +116,23 @@ if not sys.flags.optimize:
     sys.exit("not running under python -O")
 geometry = SlabGeometry([Layer(WATER, 4.0)])
 case = sys.argv[1]
-real_sweep = batch._simulate_sweep
-real_worker = batch._sweep_worker
+real_roll = batch._roll
 real_leak = ScalarTransportEngine._leak
 real_solve_group = DeterministicTransportEngine._solve_group
 leak_calls = []
 
 
-def drop_one_leak(*task):
-    leaks, absorbed, lost, collisions = real_sweep(*task)
+def drop_one_leak(sweep):
+    real_roll(sweep)
+    leaks, absorbed, lost, collisions = sweep.parts[0]
     leaks = leaks.copy()
     leaks.flat[np.flatnonzero(leaks)[0]] -= 1
-    return leaks, absorbed, lost, collisions
+    sweep.parts[0] = leaks, absorbed, lost, collisions
 
 
-def misfile_shard(args):
-    return 0, real_worker(args)[1]
+def misfile_shard(sweep):
+    real_roll(sweep)
+    sweep.parts[0] = sweep.parts.pop(1)
 
 
 def skip_first_leak(self, x, energy_ev, tally):
@@ -179,12 +150,12 @@ def halve_bath_current(self, g, q_fixed):
 
 try:
     if case == "batch-balance":
-        with mock.patch.object(batch, "_simulate_sweep", drop_one_leak):
+        with mock.patch.object(batch, "_roll", drop_one_leak):
             batch.BatchTransportEngine(geometry).run(
                 5000, source_energy_ev=1.0e6, seed=7
             )
     elif case == "shards":
-        with mock.patch.object(batch, "_sweep_worker", misfile_shard):
+        with mock.patch.object(batch, "_roll", misfile_shard):
             batch.BatchTransportEngine(geometry).run(
                 8192, source_energy_ev=1.0e6, seed=7, batch_size=4096
             )

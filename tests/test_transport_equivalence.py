@@ -26,7 +26,7 @@ unlucky.  ``TestBrokenEngineCanary`` proves the contract has teeth by
 mis-condensing a cross section and watching the harness object.
 
 Also pinned here: the batch determinism contract (same seed → same
-result; tallies independent of ``batch_size`` and ``n_workers``) and
+result; tallies independent of ``batch_size``) and
 the exact-tally regression for the scalar hot-spot fix (boundary
 array hoisted out of the collision loop).
 """
@@ -404,15 +404,6 @@ class TestBatchDeterminism:
         ]
         assert all(r == results[0] for r in results[1:])
 
-    def test_n_workers_invariance(self):
-        geometry = SlabGeometry([Layer(CONCRETE, 10.0)])
-        engine = BatchTransportEngine(geometry)
-        inline = engine.run(12_000, source_energy_ev=1.0e6, seed=8)
-        fanned = engine.run(
-            12_000, source_energy_ev=1.0e6, seed=8, n_workers=2
-        )
-        assert inline == fanned
-
     def test_different_seeds_differ(self):
         engine = BatchTransportEngine(SlabGeometry([Layer(WATER, 5.0)]))
         a = engine.run(8_000, source_energy_ev=1.0e6, seed=1)
@@ -429,8 +420,6 @@ class TestBatchDeterminism:
             engine.run(10, source_energy_ev=-1.0)
         with pytest.raises(ValueError):
             engine.run(10, source_energy_ev=1.0, batch_size=0)
-        with pytest.raises(ValueError):
-            engine.run(10, source_energy_ev=1.0, n_workers=0)
         with pytest.raises(ValueError):
             BatchTransportEngine(
                 SlabGeometry([Layer(WATER, 1.0)]), bath_energy_ev=0.0

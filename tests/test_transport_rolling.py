@@ -5,15 +5,13 @@ one sweep and admits each stream whenever it fits in the sweep's
 width.  Each stream still makes exactly its own draws and keeps its
 own tallies, so every run must equal a lone ``run`` of its seed, bit
 for bit (compared as the JSON text of ``to_dict``), whatever the
-width, the process count, the other runs, the collision cap or a
-failed shard.  The facade's ``answer_many`` must give each query what
+width, the other runs, the collision cap or a failed shard.  The facade's ``answer_many`` must give each query what
 ``answer`` gives it, and a study shard's same-shield batch points
 must run as one fused run.
 """
 
 import dataclasses
 import json
-import threading
 from unittest import mock
 
 import pytest
@@ -166,34 +164,9 @@ class TestBitIdentity:
             n_neutrons,
             seeds,
             batch_size=batch_size,
-            n_workers=1,
             **source,
         )
         assert [_text(result) for result in fused] == _alone(
-            engine, n_neutrons, seeds, **source
-        )
-
-    @given(
-        layers=_stack,
-        source=_source,
-        n_neutrons=_n_neutrons,
-        # Two runs or more: at least two shards, so the pool opens.
-        seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=3),
-        batch_size=st.sampled_from([1, 4096, 8192]),
-    )
-    @settings(max_examples=3, deadline=None)
-    def test_pool_moves_no_tally(
-        self, layers, source, n_neutrons, seeds, batch_size
-    ):
-        engine = BatchTransportEngine(SlabGeometry(layers))
-        pooled = engine.run_many(
-            n_neutrons,
-            seeds,
-            batch_size=batch_size,
-            n_workers=2,
-            **source,
-        )
-        assert [_text(result) for result in pooled] == _alone(
             engine, n_neutrons, seeds, **source
         )
 
@@ -258,53 +231,6 @@ class TestShardFaults:
             _text(dataclasses.replace(result, degraded_shards=0))
             for result in fused
         ] == clean
-
-
-class TestPoolThreads:
-    ENGINE = BatchTransportEngine(SlabGeometry([Layer(WATER, 4.0)]))
-
-    def _run(self):
-        return self.ENGINE.run(
-            8192,
-            source_energy_ev=1.0e6,
-            seed=7,
-            batch_size=4096,
-            n_workers=2,
-        )
-
-    def test_shards_run_in_process_while_a_thread_runs(
-        self, no_fork_while_threaded, monkeypatch
-    ):
-        clean = _text(self.ENGINE.run(8192, source_energy_ev=1.0e6, seed=7))
-        opened = []
-        monkeypatch.setattr(
-            batch, "fork_pool", lambda n: opened.append(n)
-        )
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            result = self._run()
-        finally:
-            release.set()
-            waiter.join()
-        assert opened == []
-        assert _text(result) == clean
-
-    def test_single_threaded_run_uses_the_fork_pool(
-        self, no_fork_while_threaded, monkeypatch
-    ):
-        clean = _text(self.ENGINE.run(8192, source_energy_ev=1.0e6, seed=7))
-        opened = []
-        real = batch.fork_pool
-
-        def spy(n_workers):
-            opened.append(n_workers)
-            return real(n_workers)
-
-        monkeypatch.setattr(batch, "fork_pool", spy)
-        assert _text(self._run()) == clean
-        assert opened == [2]
 
 
 class TestObservability:
