@@ -177,8 +177,9 @@ def _bump(data: dict) -> dict:
 def _duplicate(context: dict) -> None:
     """Deliver the site's payload a second time.
 
-    * ``batch.merge`` passes ``store``/``index``/``part``: redeliver
-      the same sweep tally into the accumulator.
+    * ``studies.ledger_append`` passes ``store``/``index``/``part``:
+      append the durable ledger line a second time.  It passes
+      ``tmp``/``path``/``text`` too, so this case is checked first.
     * ``checkpoint.write`` passes ``tmp``/``path``/``text``: perform
       one full extra write before the real one.
     * ``checkpoint.load`` passes ``path``: read the file an extra

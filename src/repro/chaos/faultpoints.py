@@ -12,7 +12,7 @@ Design rules:
 
 * **Zero overhead when disabled.**  ``fault_point`` is one module
   global read and a ``None`` check; sites sit at step / checkpoint /
-  sweep / read-pass granularity, never inside per-neutron or
+  query / read-pass granularity, never inside per-neutron or
   per-strike inner loops.
 * **No dependency cycles.**  This module imports nothing from the
   instrumented packages, so ``runtime``, ``beam``, ``transport`` and
@@ -118,18 +118,6 @@ _declare(
     "repro.beam.campaign",
     "an exposure about to run (before its RNG stream is spawned)",
     actions=("raise-transient", "crash"),
-)
-_declare(
-    "batch.worker",
-    "repro.transport.batch",
-    "a shard admitted to a rolling transport sweep",
-    actions=("raise-transient", "crash"),
-)
-_declare(
-    "batch.merge",
-    "repro.transport.batch",
-    "a shard's tally being delivered to the merge accumulator",
-    actions=("raise-transient", "duplicate"),
 )
 _declare(
     "memory.pass",

@@ -5,10 +5,9 @@ workload twice: once clean (cached per subsystem) and once — or N
 times — with the fault injected.  The :class:`InvariantChecker` then
 asserts the runtime's recovery *contract*, not merely survival:
 
-* **Byte-identical recovery.**  A retried, resumed, or
-  shard-recomputed run produces exactly the clean run's data (the
-  ``SeedSequence`` discipline makes this checkable as string
-  equality on canonical JSON).
+* **Byte-identical recovery.**  A retried or resumed run produces
+  exactly the clean run's data (the ``SeedSequence`` discipline
+  makes this checkable as string equality on canonical JSON).
 * **No observable invalid checkpoint.**  After a SIGKILL at any
   instrumented instant, the checkpoint file is either absent or
   loads cleanly; a stale ``*.tmp`` is swept on runner startup; a
@@ -17,9 +16,6 @@ asserts the runtime's recovery *contract*, not merely survival:
 * **Budgets hold under delay.**  After an injected clock jump, no
   further step runs, a DEADLINE event is recorded, and the
   checkpointed remainder resumes byte-identically.
-* **Shard failure degrades, flagged.**  A batch transport shard
-  whose admission or delivery faulted is transported again with
-  ``degraded_shards`` set and tallies unchanged.
 * **The FIT service stays correct under failure.**  A corrupt or
   torn cache entry is quarantined and recomputed, never served; a
   thundering herd of identical queries costs one computation and
@@ -68,17 +64,7 @@ from repro.spectra import ROTAX_THERMAL_FLUX
 from repro.studies.ledger import LedgerError
 from repro.studies.report import StudyReport
 from repro.transport import api as transport_api
-from repro.transport.batch import BatchTransportEngine
-from repro.transport.materials import WATER
-from repro.transport.montecarlo import Layer, SlabGeometry
 from repro.transport.surrogate.store import SurrogateStore
-from repro.transport.tallies import TransportResult
-
-#: Transport trial sizing: 2 seed streams, 2 single-stream shards.
-TRANSPORT_N_NEUTRONS = 8192
-TRANSPORT_BATCH_SIZE = 4096
-TRANSPORT_SOURCE_EV = 1.0e6
-TRANSPORT_SEED = 7
 
 #: DDR correct-loop trial sizing.
 DDR_GENERATION = 4
@@ -110,32 +96,6 @@ def canon_days(outcome: SupervisedFleetResult) -> str:
     """Canonical JSON of a fleet run's per-day data."""
     return json.dumps(
         [d.to_dict() for d in outcome.result.days], sort_keys=True
-    )
-
-
-def canon_transport(result: TransportResult) -> str:
-    """Canonical JSON of transport tallies (degradation excluded —
-    a degraded run must still produce identical physics)."""
-    return json.dumps(
-        {
-            "source": result.source,
-            "transmitted": [
-                result.transmitted_thermal,
-                result.transmitted_epithermal,
-                result.transmitted_fast,
-            ],
-            "reflected": [
-                result.reflected_thermal,
-                result.reflected_epithermal,
-                result.reflected_fast,
-            ],
-            "absorbed": result.absorbed,
-            "collisions": result.collisions,
-            "by_material": dict(
-                sorted(result.absorbed_by_material.items())
-            ),
-        },
-        sort_keys=True,
     )
 
 
@@ -337,7 +297,6 @@ class InvariantChecker:
             else tempfile.mkdtemp(prefix="repro-chaos-")
         )
         self._clean: Dict[str, str] = {}
-        self._engine: Optional[BatchTransportEngine] = None
 
     # -- clean baselines (one per subsystem, cached) -------------------
 
@@ -356,14 +315,6 @@ class InvariantChecker:
             )
             self._clean["fleet"] = canon_days(outcome)
         return self._clean["fleet"]
-
-    def clean_transport(self) -> str:
-        """Canonical tallies of the clean serial transport run."""
-        if "transport" not in self._clean:
-            self._clean["transport"] = canon_transport(
-                self._run_transport()
-            )
-        return self._clean["transport"]
 
     def clean_ddr(self) -> str:
         """Canonical errors of the clean DDR correct-loop run."""
@@ -402,18 +353,6 @@ class InvariantChecker:
             self._clean["service"] = canon_service(line)
         return self._clean["service"]
 
-    def _run_transport(self) -> TransportResult:
-        if self._engine is None:
-            self._engine = BatchTransportEngine(
-                SlabGeometry([Layer(WATER, 4.0)])
-            )
-        return self._engine.run(
-            TRANSPORT_N_NEUTRONS,
-            source_energy_ev=TRANSPORT_SOURCE_EV,
-            seed=TRANSPORT_SEED,
-            batch_size=TRANSPORT_BATCH_SIZE,
-        )
-
     @staticmethod
     def _run_ddr() -> DdrTestResult:
         tester = CorrectLoopTester(
@@ -441,8 +380,6 @@ class InvariantChecker:
             "checkpoint.write": self.plan_len,
             "checkpoint.load": 1,
             "fleet.day": trials.FLEET_N_DAYS,
-            "batch.worker": 2,
-            "batch.merge": 2,
             "memory.pass": DDR_N_PASSES,
             # One crossing per trial request for every service site.
             "service.cache_write": 1,
@@ -519,10 +456,6 @@ class InvariantChecker:
             return self._trial_checkpoint_write(spec, tmpdir)
         if site == "checkpoint.load":
             return self._trial_checkpoint_load(spec, tmpdir)
-        if site == "batch.worker":
-            return self._trial_batch_worker(spec, tmpdir)
-        if site == "batch.merge":
-            return self._trial_batch_merge(spec, tmpdir)
         if site == "memory.pass":
             return self._trial_memory_pass(spec, tmpdir)
         if site == "service.cache_write":
@@ -839,57 +772,6 @@ class InvariantChecker:
         fired = controller.fired()
         if not fired:
             violations.append("fault never fired")
-        return violations, fired
-
-    # -- transport cells -----------------------------------------------
-
-    def _trial_batch_worker(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        del tmpdir
-        clean = self.clean_transport()
-        violations: List[str] = []
-        controller = ChaosController(spec)
-        with activated(controller):
-            result = self._run_transport()
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if result.degraded_shards != 1:
-            violations.append(
-                "shard failure not flagged"
-                f" (degraded_shards={result.degraded_shards})"
-            )
-        if canon_transport(result) != clean:
-            violations.append(
-                "retried-shard tallies diverged from clean"
-            )
-        return violations, fired
-
-    def _trial_batch_merge(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        del tmpdir
-        clean = self.clean_transport()
-        violations: List[str] = []
-        controller = ChaosController(spec)
-        with activated(controller):
-            result = self._run_transport()
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if canon_transport(result) != clean:
-            violations.append(
-                "merge-faulted tallies diverged from clean"
-            )
-        expected_degraded = (
-            1 if spec.action == chaos_actions.RAISE_TRANSIENT else 0
-        )
-        if result.degraded_shards != expected_degraded:
-            violations.append(
-                f"expected degraded_shards={expected_degraded},"
-                f" got {result.degraded_shards}"
-            )
         return violations, fired
 
     # -- memory cells --------------------------------------------------

@@ -48,7 +48,6 @@ METRICS: Dict[str, str] = {
     "repro_exposures_total": "beam exposures simulated",
     "repro_events_observed_total": "SDC/DUE events tallied",
     "repro_transport_histories_total": "Monte Carlo histories run",
-    "repro_shard_retries_total": "batch transport shard retries",
     "repro_histories_per_s": "transport throughput gauge",
     "repro_deterministic_solves_total": (
         "deterministic multigroup transport solves"
@@ -148,7 +147,7 @@ SPANS: Dict[str, str] = {
     "campaign.exposure": "one beam exposure",
     "transport.run": (
         "one batch transport call: every run it sweeps (histories,"
-        " shards, runs, collision rounds)"
+        " runs, collision rounds)"
     ),
     "transport.deterministic": (
         "one deterministic multigroup solve"

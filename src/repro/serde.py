@@ -39,8 +39,8 @@ SCHEMA_VERSIONS = {
     # fields (isolated crashes, degraded fidelity).
     "exposure": 2,
     # A TransportResult from a Monte Carlo engine (counts per
-    # channel).
-    "transport": 1,
+    # channel).  Version 2: no count of retried batch shards.
+    "transport": 2,
     # The chaos harness's verdict matrix.
     "chaos-report": 2,
     # A campaign logbook: exposures plus their provenance.
@@ -51,8 +51,9 @@ SCHEMA_VERSIONS = {
     # Durable on-disk result-cache entries (carry their own SHA-256
     # payload checksum).  Version 2: deterministic answers from the
     # layer-wise response build, which differ from version 1's in
-    # their last bits.
-    "service-cache-entry": 2,
+    # their last bits.  Version 3: Monte Carlo answers carry a
+    # version 2 ``transport`` block.
+    "service-cache-entry": 3,
     # A TransportResult from the deterministic engine (noise-free
     # fractions per source neutron).
     "deterministic-transport": 1,

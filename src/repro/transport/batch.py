@@ -47,15 +47,13 @@ fits (any stream when nothing is in flight).  A run, or every run of
 :meth:`BatchTransportEngine.run_many`, then pays for one tail instead
 of one per group of streams.
 
-Streams are grouped into **shards** of ``batch_size //``
-:data:`HISTORIES_PER_STREAM` streams (at least one) of one run.  A
-shard is the unit of fault isolation and delivery: the ``batch.worker``
-fault point fires when its first stream is admitted, and its tally
-is delivered (the ``batch.merge`` fault point) once the sweep is
-done.  The shards that failed are transported again, once, in a
-sweep of their own.  The engine runs in the calling process: its
-callers (a study's shard pool, the service's ``--workers`` pool)
-already run in parallel above it.
+The engine keeps no recovery of its own: a sweep that raises fails
+the call.  Its callers (a study shard and a service query) run it
+under a :class:`~repro.runtime.supervisor.Supervisor`, which retries
+transient faults, and seed streams make a retried run's tallies
+bit-identical.  The engine runs in the calling process: its callers
+(a study's shard pool, the service's ``--workers`` pool) already run
+in parallel above it.
 
 Determinism contract
 --------------------
@@ -78,9 +76,8 @@ tallies are kept per stream.  Consequences:
 
 * same seed → same tallies, bit for bit;
 * tallies are independent of ``batch_size`` (which only sets how many
-  histories are in flight and how streams group into shards) and of
-  the other runs a :meth:`BatchTransportEngine.run_many` call
-  carries.
+  histories are in flight) and of the other runs a
+  :meth:`BatchTransportEngine.run_many` call carries.
 
 Geometry boundaries, per-layer cross-section coefficients and
 per-material scatter tables are built once per engine and reused by
@@ -91,11 +88,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chaos.faultpoints import fault_point
 from repro.obs import core as obs
 from repro.physics.constants import BOLTZMANN_EV_PER_K, ROOM_TEMPERATURE_K
 from repro.physics.units import (
@@ -274,28 +270,18 @@ def _build_tables(geometry: SlabGeometry) -> _GeometryTables:
 # Sweep kernel
 # ----------------------------------------------------------------------
 
-#: One shard's tallies: ``(leaks, absorbed_per_layer, lost,
+#: One run's tallies: ``(leaks, absorbed_per_layer, lost,
 #: collisions)``, ``leaks`` a ``(2, 3)`` array indexed by
 #: (transmitted/reflected, thermal/epithermal/fast).
 _Part = Tuple[np.ndarray, np.ndarray, int, int]
 
 
-@dataclass(frozen=True)
-class _Shard:
-    """Consecutive whole seed streams of one run."""
-
-    run: int
-    children: Tuple[np.random.SeedSequence, ...]
-    sizes: Tuple[int, ...]
-
-
 @dataclass
 class _RollingSweep:
-    """Shards transported together (see "The rolling sweep" above).
+    """Runs transported together (see "The rolling sweep" above).
 
-    :func:`_roll` sweeps it once, filling ``parts`` with the tallies
-    of every shard it admitted, ``failures`` with the error of every
-    shard whose admission raised, and ``rounds``.
+    :func:`_roll` sweeps it once, filling ``parts`` with one part per
+    run, in run order, and ``rounds``.
     """
 
     tables: _GeometryTables
@@ -303,9 +289,11 @@ class _RollingSweep:
     source_energy_ev: Optional[float]
     source_spectrum: Optional[Spectrum]
     width: int
-    shards: Dict[int, _Shard]
-    parts: Dict[int, _Part] = field(default_factory=dict)
-    failures: Dict[int, Exception] = field(default_factory=dict)
+    #: Each run's seed streams, in stream order.
+    runs: List[List[np.random.SeedSequence]]
+    #: Histories per stream of one run (the same for every run).
+    sizes: List[int]
+    parts: List[_Part] = field(default_factory=list)
     #: Collision rounds swept.
     rounds: int = 0
 
@@ -350,7 +338,7 @@ def _layered_alpha(
 
 
 def _roll(sweep: _RollingSweep) -> None:
-    """Transport every shard of ``sweep`` (see :class:`_RollingSweep`)."""
+    """Transport every run of ``sweep`` (see :class:`_RollingSweep`)."""
     tables = sweep.tables
     bath_energy_ev = sweep.bath_energy_ev
     source_energy_ev = sweep.source_energy_ev
@@ -358,15 +346,10 @@ def _roll(sweep: _RollingSweep) -> None:
     width = sweep.width
     cap = _MAX_COLLISIONS
 
-    # Streams are numbered in shard order, so each shard is a range.
-    children: List[np.random.SeedSequence] = []
-    sizes: List[int] = []
-    ranges = []
-    for index, shard in sweep.shards.items():
-        ranges.append((index, len(sizes), len(sizes) + len(shard.sizes)))
-        children.extend(shard.children)
-        sizes.extend(shard.sizes)
-    shard_at = {first: (index, end) for index, first, end in ranges}
+    # Streams are numbered in run order, so each run is a range.
+    per_run = len(sweep.sizes)
+    children = [child for run in sweep.runs for child in run]
+    sizes = sweep.sizes * len(sweep.runs)
     n_streams = len(sizes)
 
     bounds = tables.bounds_cm
@@ -454,16 +437,6 @@ def _roll(sweep: _RollingSweep) -> None:
             while admitted < n_streams and (
                 k == 0 or k + sizes[admitted] <= width
             ):
-                if admitted in shard_at:
-                    index, end = shard_at[admitted]
-                    try:
-                        fault_point("batch.worker", shard=index)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:  # noqa: BLE001 — shard isolation point
-                        sweep.failures[index] = exc
-                        admitted = end
-                        continue
                 t = admitted
                 size = sizes[t]
                 rng = np.random.default_rng(children[t])
@@ -625,9 +598,10 @@ def _roll(sweep: _RollingSweep) -> None:
                 stream = stream.take(keep)
                 live = _live_streams(rngs, stream)
 
-    for index, first, end in ranges:
-        if index not in sweep.failures:
-            sweep.parts[index] = part(first, end)
+    sweep.parts = [
+        part(first, first + per_run)
+        for first in range(0, n_streams, per_run)
+    ]
     sweep.rounds = rounds
 
 
@@ -683,15 +657,13 @@ class BatchTransportEngine:
             source_spectrum: alternatively, a spectrum to sample.
             seed: entropy for the root ``SeedSequence`` (an int or
                 anything ``SeedSequence`` accepts).
-            batch_size: histories in flight in the rolling sweep;
-                ``batch_size // HISTORIES_PER_STREAM`` streams (at
-                least one) make a shard.  Affects memory and speed
-                only — tallies are invariant.
+            batch_size: histories in flight in the rolling sweep.
+                Affects memory and speed only — tallies are
+                invariant.
 
         Raises:
-            RuntimeError: if the merged tallies lose or invent a
-                neutron (a kernel defect; checked under ``python -O``
-                too).
+            RuntimeError: if the tallies lose or invent a neutron
+                (a kernel defect; checked under ``python -O`` too).
         """
         return self.run_many(
             n_neutrons,
@@ -712,10 +684,8 @@ class BatchTransportEngine:
         """One run of ``n_neutrons`` per seed, all in one rolling sweep.
 
         Result ``i`` equals ``run(n_neutrons, seed=seeds[i], ...)``
-        bit for bit, ``degraded_shards`` included: each run's streams
-        make their own draws and keep their own tallies, and a failed
-        shard counts only in the run that owns it.  Arguments are
-        those of :meth:`run`.
+        bit for bit: each run's streams make their own draws and keep
+        their own tallies.  Arguments are those of :meth:`run`.
 
         Raises:
             RuntimeError: as :meth:`run`, for any of the runs.
@@ -741,141 +711,36 @@ class BatchTransportEngine:
         n_streams = math.ceil(n_neutrons / HISTORIES_PER_STREAM)
         sizes = [HISTORIES_PER_STREAM] * n_streams
         sizes[-1] = n_neutrons - HISTORIES_PER_STREAM * (n_streams - 1)
-        per_shard = max(1, width // HISTORIES_PER_STREAM)
-        shards = []
-        for run, seed in enumerate(seeds):
-            children = np.random.SeedSequence(seed).spawn(n_streams)
-            shards.extend(
-                _Shard(
-                    run,
-                    tuple(children[i : i + per_shard]),
-                    tuple(sizes[i : i + per_shard]),
-                )
-                for i in range(0, n_streams, per_shard)
-            )
         sweep = _RollingSweep(
             self._tables,
             self.bath_energy_ev,
             source_energy_ev,
             source_spectrum,
             width,
-            dict(enumerate(shards)),
+            [np.random.SeedSequence(seed).spawn(n_streams) for seed in seeds],
+            sizes,
         )
 
         histories = n_neutrons * len(seeds)
         with obs.span(
-            "transport.run",
-            histories=histories,
-            shards=len(shards),
-            runs=len(seeds),
+            "transport.run", histories=histories, runs=len(seeds)
         ) as sp:
-            parts, failed, rounds = self._run_shards(sweep)
-            sp.annotate(rounds=rounds)
-            results = []
-            for run in range(len(seeds)):
-                own = [i for i, s in enumerate(shards) if s.run == run]
-                results.append(
-                    TransportResult.from_tally(
-                        self._merge(n_neutrons, [parts[i] for i in own]),
-                        degraded_shards=sum(i in failed for i in own),
-                    )
-                )
+            _roll(sweep)
+            sp.annotate(rounds=sweep.rounds)
+            results = [
+                TransportResult.from_tally(self._tally(n_neutrons, part))
+                for part in sweep.parts
+            ]
         obs.inc("repro_transport_histories_total", histories)
-        if failed:
-            obs.inc("repro_shard_retries_total", len(failed))
         if sp.elapsed_s > 0:
             obs.set_gauge("repro_histories_per_s", histories / sp.elapsed_s)
         if not all(result.balance_check() for result in results):
             raise RuntimeError("neutron balance violated")
         return results
 
-    def _run_shards(
-        self, sweep: _RollingSweep
-    ) -> Tuple[List[_Part], List[int], int]:
-        """Run every shard of ``sweep``, riding out shard faults.
-
-        A shard's tally is a pure function of its streams, so a shard
-        that failed (its admission or its delivery faulted) is simply
-        transported again, once — all such shards in one sweep, in
-        shard order — and delivered again.  A sweep that raises
-        outside a fault point fails every shard.  Shard-indexed
-        delivery keeps the retry — and any duplicated delivery —
-        idempotent.
-
-        Returns:
-            ``(parts, failed, rounds)``: ``parts`` ordered by shard
-            index, the shards that needed the retry, and the
-            collision rounds swept.
-
-        Raises:
-            Exception: whatever the retry of a shard raises — one
-                retry is the recovery policy, a second failure is a
-                real bug.
-            RuntimeError: if a shard's part was never delivered.
-        """
-        parts: Dict[int, _Part] = {}
-
-        def _store(shard: int, part: _Part) -> None:
-            parts[shard] = part
-
-        def _deliver(swept: _RollingSweep, shard: int) -> None:
-            if shard in swept.failures:
-                raise swept.failures[shard]
-            # A part the sweep never made fails the check below.
-            if shard in swept.parts:
-                part = swept.parts[shard]
-                fault_point(
-                    "batch.merge", index=shard, part=part, store=_store
-                )
-                _store(shard, part)
-
-        shards = sweep.shards
-        failed: List[int] = []
-        try:
-            _roll(sweep)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:  # noqa: BLE001 — shard isolation point
-            failed = list(shards)
-        else:
-            for i in shards:
-                try:
-                    _deliver(sweep, i)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception:  # noqa: BLE001 — shard isolation point
-                    failed.append(i)
-        rounds = sweep.rounds
-
-        # One retry per failed shard; determinism of the seed streams
-        # makes the recomputed tally bit-identical to what the failed
-        # attempt would have produced.
-        if failed:
-            retry = _alone(sweep, *failed)
-            _roll(retry)
-            for i in failed:
-                _deliver(retry, i)
-            rounds += retry.rounds
-
-        missing = [i for i in shards if i not in parts]
-        if missing:
-            raise RuntimeError(f"shards never delivered: {missing}")
-        return [parts[i] for i in shards], failed, rounds
-
-    def _merge(self, n_neutrons: int, parts: List[_Part]) -> TransportTally:
-        """Sum one run's shard tallies into one ``TransportTally``."""
-        leaks = np.zeros((2, 3), dtype=np.int64)
-        absorbed_per_layer = np.zeros(
-            len(self._tables.material_names), dtype=np.int64
-        )
-        lost = 0
-        collisions = 0
-        for part_leaks, part_absorbed, part_lost, part_collisions in parts:
-            leaks += part_leaks
-            absorbed_per_layer += part_absorbed
-            lost += part_lost
-            collisions += part_collisions
-
+    def _tally(self, n_neutrons: int, part: _Part) -> TransportTally:
+        """One run's part as a ``TransportTally``."""
+        leaks, absorbed_per_layer, lost, collisions = part
         tally = TransportTally()
         tally.source = n_neutrons
         (
@@ -904,14 +769,3 @@ class BatchTransportEngine:
             )
         return tally
 
-
-def _alone(sweep: _RollingSweep, *shards: int) -> _RollingSweep:
-    """A fresh sweep of ``shards`` of ``sweep``, and of no other."""
-    return _RollingSweep(
-        sweep.tables,
-        sweep.bath_energy_ev,
-        sweep.source_energy_ev,
-        sweep.source_spectrum,
-        sweep.width,
-        {i: sweep.shards[i] for i in shards},
-    )

@@ -86,10 +86,6 @@ class TransportResult:
     Attributes:
         absorbed_by_material: absorptions per material name (Monte
             Carlo and solver).
-        degraded_shards: shards the batch engine recomputed after
-            their admission or delivery faulted.  Tallies are unaffected (shards are
-            deterministic), but the run did not go to plan — mirrors
-            the ``degraded`` flag on exposures.
         absorbed_by_layer: absorbed fraction per geometry layer
             (solver).
         iterations: total within-group source iterations (solver).
@@ -112,7 +108,6 @@ class TransportResult:
     absorbed_by_material: Dict[str, float] = field(
         default_factory=dict
     )
-    degraded_shards: int = 0
     absorbed_by_layer: Tuple[float, ...] = ()
     iterations: int = 0
     balance_residual: float = 0.0
@@ -126,16 +121,8 @@ class TransportResult:
             )
 
     @classmethod
-    def from_tally(
-        cls, tally: TransportTally, degraded_shards: int = 0
-    ) -> "TransportResult":
-        """Freeze a mutable Monte Carlo tally.
-
-        Args:
-            tally: the counters to freeze.
-            degraded_shards: shards that needed the in-process
-                fallback (batch engine only).
-        """
+    def from_tally(cls, tally: TransportTally) -> "TransportResult":
+        """Freeze a mutable Monte Carlo tally."""
         return cls(
             kind="transport",
             source=tally.source,
@@ -148,7 +135,6 @@ class TransportResult:
             absorbed=tally.absorbed,
             collisions=tally.collisions,
             absorbed_by_material=dict(tally.absorbed_by_material),
-            degraded_shards=degraded_shards,
         )
 
     def to_dict(self) -> dict:
@@ -174,9 +160,7 @@ class TransportResult:
             body["absorbed_by_material"] = dict(
                 self.absorbed_by_material
             )
-            if self.kind == "transport":
-                body["degraded_shards"] = self.degraded_shards
-            else:
+            if self.kind == "deterministic-transport":
                 body["absorbed_by_layer"] = list(
                     self.absorbed_by_layer
                 )
@@ -209,11 +193,7 @@ class TransportResult:
                 str(k): number(v)
                 for k, v in data["absorbed_by_material"].items()
             }
-            if kind == "transport":
-                extras["degraded_shards"] = int(
-                    data["degraded_shards"]
-                )
-            else:
+            if kind == "deterministic-transport":
                 extras["absorbed_by_layer"] = tuple(
                     float(v) for v in data["absorbed_by_layer"]
                 )

@@ -6,9 +6,10 @@ campaign checkpoints.  The reference entry of every case is a file
 written by the store code that preceded :mod:`repro.durable`
 (``tests/data/durable/``), so the same family also proves the on-disk
 formats did not change.  The cache entry's version has since gone to
-2 (deterministic answers moved in their last bits), so its file
-differs from the one that code wrote in ``schema_version`` and
-``checksum`` only.
+3 (deterministic answers moved in their last bits at version 2, and
+Monte Carlo answers lost their ``degraded_shards`` field at version
+3), so its file differs from the one that code wrote in
+``schema_version`` and ``checksum`` only.
 """
 
 from __future__ import annotations

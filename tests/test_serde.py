@@ -86,7 +86,7 @@ class TestCheck:
         tagged = serde.tag("transport", {"source": 1})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert serde.check("transport", tagged) == 1
+            assert serde.check("transport", tagged) == 2
 
     def test_wrong_kind_rejected(self):
         tagged = serde.tag("transport", {})
@@ -104,10 +104,11 @@ class TestCheck:
             serde.check("exposure", data)
 
     def test_older_version_rejected(self):
-        data = serde.tag("exposure", {})
-        data[serde.VERSION_KEY] = 1
-        with pytest.raises(serde.SchemaError, match="version 1"):
-            serde.check("exposure", data)
+        for kind in ("exposure", "transport"):
+            data = serde.tag(kind, {})
+            data[serde.VERSION_KEY] = 1
+            with pytest.raises(serde.SchemaError, match="version 1"):
+                serde.check(kind, data)
 
 
 class TestExposureRoundTrip:
@@ -137,7 +138,7 @@ def _mc_result():
     )
     for _ in range(45):
         tally.record_absorption("water")
-    return TransportResult.from_tally(tally, degraded_shards=2)
+    return TransportResult.from_tally(tally)
 
 
 def _solver_result():
@@ -175,7 +176,7 @@ def _surface_result():
 #: The fields a kind's writer emits beyond the channels, each of
 #: which its reader requires.
 _EXTRAS = {
-    "transport": ("absorbed_by_material", "degraded_shards"),
+    "transport": ("absorbed_by_material",),
     "deterministic-transport": (
         "absorbed_by_material",
         "absorbed_by_layer",

@@ -6,10 +6,13 @@ import pytest
 
 from repro.runtime.budget import Budget, CircuitBreaker, RetryPolicy
 from repro.runtime.errors import TransientHarnessError
+from repro.runtime.events import EventKind
+from repro.studies import scheduler as scheduler_module
 from repro.studies.evaluate import evaluate_shard
 from repro.studies.ledger import LedgerError, StudyLedger
 from repro.studies.scheduler import StudyScheduler
 from repro.studies.spec import StudySpec
+from repro.transport import batch
 from repro.transport.api import LIVE_CASCADE
 
 
@@ -88,6 +91,32 @@ class TestHappyPath:
             entry.unlink()
         rebuilt = _scheduler(tmp_path).run()
         assert _canon(rebuilt.report) == _canon(first.report)
+
+
+class TestSupervisedRetry:
+    def test_a_transient_batch_fault_is_retried_by_the_supervisor(
+        self, tmp_path, monkeypatch
+    ):
+        """The batch engine keeps no retry of its own: a transient
+        fault in its sweep reaches the shard's supervisor, whose
+        retry gives the clean report."""
+        monkeypatch.setattr(scheduler_module, "_usable_cpus", lambda: 1)
+        clean = _scheduler(tmp_path / "clean").run()
+        real_roll = batch._roll
+        sweeps = []
+
+        def flaky_roll(sweep):
+            sweeps.append(sweep)
+            if len(sweeps) == 1:
+                raise TransientHarnessError("injected sweep fault")
+            real_roll(sweep)
+
+        monkeypatch.setattr(batch, "_roll", flaky_roll)
+        scheduler = _scheduler(tmp_path / "flaky")
+        outcome = scheduler.run()
+        assert outcome.status == "complete"
+        assert _canon(outcome.report) == _canon(clean.report)
+        assert scheduler.events.count(EventKind.RETRY) == 1
 
 
 class TestResume:

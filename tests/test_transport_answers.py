@@ -14,11 +14,11 @@ was rewritten for speed, so the rewritten round must reproduce every
 count exactly.  It covers the study's shields, a service-sized run,
 every material alone and over water, a three-layer stack, stacks
 with a vacuum layer, each stack under a fast and a thermal source, a
-run of one-stream shards (``parallel/water``) and the collision cap.  The ``deterministic`` block was
-written by the deterministic engine as it stood before its response
-build was blocked and its source kernel memoised, so the rewritten
-solver must reproduce every answer exactly, iteration counts and
-balance residuals included.  It was regenerated once when the
+run one stream wide (``parallel/water``) and the collision cap.  The
+``deterministic`` block was written by the deterministic engine as it
+stood before its response build was blocked and its source kernel
+memoised, so the rewritten solver must reproduce every answer
+exactly, iteration counts and balance residuals included.  It was regenerated once when the
 response build took the optical distance inside a layer as cells
 between times the layer's cell thickness (every solve kept its
 iteration count and moved by under 1e-10 relative; the blocks and
@@ -44,7 +44,10 @@ fractions, ``mean_collisions``, both ``*_stderr`` and
 ``batch_tallies`` and ``deterministic`` blocks pin, and for the trial
 surface evaluated at each grid point and each interval's midpoint.
 The result blocks and this one compare as JSON text, so a count that
-became a float (``5000.0`` for ``5000``) fails by name.
+became a float (``5000.0`` for ``5000``) fails by name.  Every Monte
+Carlo result the blocks hold was regenerated once when the
+``transport`` wire form dropped its ``degraded_shards`` field
+(version 2): only that field and ``schema_version`` changed.
 
 Regenerate only on purpose (a physics or sampling change).  First
 see what would move::
@@ -577,7 +580,7 @@ def test_answers_match_the_fixture_exactly(engine_numbers):
         assert _as_text(actual["deterministic"][key]) == _as_text(
             pinned
         ), key
-    # How streams group into shards never changes a tally.
+    # How many histories are in flight never changes a tally.
     tallies = actual["batch_tallies"]
     assert tallies["parallel/water"] == tallies["study/water"]
 
