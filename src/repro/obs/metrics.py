@@ -147,7 +147,9 @@ SPANS: Dict[str, str] = {
     "campaign.exposure": "one beam exposure",
     "transport.run": (
         "one batch transport call: every run it sweeps (histories,"
-        " runs, collision rounds)"
+        " runs, collision rounds, scatters, and the moderated ones"
+        " off the thermal-bath floor that ran the isotope pick and"
+        " the kinematics)"
     ),
     "transport.deterministic": (
         "one deterministic multigroup solve"

@@ -9,7 +9,8 @@ Hypothesis drives randomized layer stacks and source spectra through
 * tally non-negativity;
 * tallies are invariant under the ``batch_size`` sweep width;
 * the elastic-scattering kernel never produces an energy below the
-  thermal-bath floor and never gains energy;
+  thermal-bath floor and never gains energy, and a neutron on the
+  floor stays exactly on it;
 * the vectorized isotope pick equals the scalar oracle's
   ``Material.dominant_scatter_mass`` for every material.
 """
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.physics.constants import BOLTZMANN_EV_PER_K, ROOM_TEMPERATURE_K
 from repro.spectra.spectrum import Spectrum
 from repro.transport.batch import (
     BatchTransportEngine,
@@ -55,6 +57,14 @@ _layer = st.builds(
 _stack = st.lists(_layer, min_size=1, max_size=4)
 
 _energy = st.floats(min_value=1.0e-2, max_value=2.0e7)
+
+#: Every isotope mass a material's scatter table holds, and A = 1-240.
+_MASS_NUMBERS = np.unique(
+    np.concatenate(
+        [_build_scatter_table(m).mass_numbers for m in ALL_MATERIALS]
+        + [np.arange(1.0, 241.0)]
+    )
+)
 
 
 def _tally_counts(result):
@@ -161,6 +171,35 @@ class TestScatterKernel:
         assert np.all(
             out <= np.maximum(energies_arr, bath_energy_ev) + 1e-12
         )
+
+    @given(
+        u=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            min_size=1,
+            max_size=64,
+        ),
+        bath_energy_ev=st.one_of(
+            st.floats(min_value=1.0e-30, max_value=1.0e6),
+            st.just(BOLTZMANN_EV_PER_K * ROOM_TEMPERATURE_K),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_neutron_on_the_floor_stays_exactly_on_it(
+        self, u, bath_energy_ev
+    ):
+        """Scattering a neutron that sits on the bath floor returns the
+        floor itself, bit for bit, off every isotope and for every
+        variate, the two ends of [0, 1) included: the batch kernel
+        skips the pick and the kinematics for such neutrons."""
+        u = np.concatenate([u, [0.0, np.nextafter(1.0, 0.0)]])
+        masses = np.repeat(_MASS_NUMBERS, u.size)
+        out = scattered_energies_ev(
+            np.full(masses.size, bath_energy_ev),
+            masses,
+            np.tile(u, _MASS_NUMBERS.size),
+            bath_energy_ev,
+        )
+        assert np.all(out == bath_energy_ev)
 
     @given(u=st.floats(min_value=0.0, max_value=0.999999))
     @settings(max_examples=40, deadline=None)

@@ -47,6 +47,11 @@ from repro.transport.surrogate import SurrogateStore
 WATER_FUSED_ROUNDS = 427
 WATER_SEPARATE_ROUNDS = (307, 388, 349, 413)
 
+#: The fused run's scatters, and those made off the thermal-bath
+#: floor, the only ones that pick an isotope and downscatter.
+WATER_FUSED_SCATTERS = 1_437_532
+WATER_FUSED_MODERATED = 85_314
+
 _layer = st.builds(
     Layer,
     st.sampled_from(
@@ -204,9 +209,23 @@ class TestObservability:
             ),
         )
         assert [
-            (run["runs"], run["histories"], run["rounds"])
+            (
+                run["runs"],
+                run["histories"],
+                run["rounds"],
+                run["scatters"],
+                run["moderated"],
+            )
             for run in fused
-        ] == [(4, 80_000, WATER_FUSED_ROUNDS)]
+        ] == [
+            (
+                4,
+                80_000,
+                WATER_FUSED_ROUNDS,
+                WATER_FUSED_SCATTERS,
+                WATER_FUSED_MODERATED,
+            )
+        ]
         assert tuple(run["rounds"] for run in alone) == (
             WATER_SEPARATE_ROUNDS
         )
