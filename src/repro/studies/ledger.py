@@ -350,21 +350,7 @@ class StudyLedger:
             tmp=str(self.path),
             text=line,
             offset=start,
-            store=self._rogue_append,
-            index=seq,
-            part=line,
         )
-
-    def _rogue_append(self, _seq: int, part: str) -> None:
-        """Chaos helper: blindly re-append a line (duplicate action).
-
-        Simulates an at-least-once double delivery; replay must skip
-        the duplicate.
-        """
-        with open(self.path, "ab") as handle:
-            handle.write(str(part).encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
 
     # -- guards --------------------------------------------------------
 
