@@ -102,13 +102,13 @@ class TestByteIdenticalTraces:
         assert str(tmp_path).encode() not in trace_bytes
 
 
-def _observed_chaos_child(spec_dict, checkpoint_path, trace_path):
+def _observed_chaos_child(spec, checkpoint_path, trace_path):
     """Forked child: observed campaign that chaos will SIGKILL."""
     from repro.chaos import trials
     from repro.chaos.faultpoints import install as chaos_install
-    from repro.chaos.schedule import ChaosController, ChaosSpec
+    from repro.chaos.schedule import ChaosController
 
-    chaos_install(ChaosController(ChaosSpec.from_dict(spec_dict)))
+    chaos_install(ChaosController(spec))
     install(_observer(trace_path))
     trials.make_campaign_runner(checkpoint_path).run()
 
@@ -137,7 +137,7 @@ class TestKillProcessResume:
         ctx = multiprocessing.get_context("fork")
         child = ctx.Process(
             target=_observed_chaos_child,
-            args=(spec.to_dict(), str(checkpoint), trace),
+            args=(spec, str(checkpoint), trace),
         )
         child.start()
         child.join(trials.CHILD_TIMEOUT_S)
