@@ -301,7 +301,7 @@ class StudyLedger:
                 # onto disk; roll the valid end back so the retry
                 # truncates the fragment before rewriting.
                 self._valid_end = anchor
-                self._append_line(line, record["seq"])
+                self._append_line(line)
             except (OSError, TransientHarnessError) as exc:
                 if delay_s is None:
                     raise LedgerError(
@@ -315,7 +315,7 @@ class StudyLedger:
         obs.inc("repro_study_ledger_appends_total")
         return record
 
-    def _append_line(self, line: str, seq: int) -> None:
+    def _append_line(self, line: str) -> None:
         """One durable append attempt (truncate-heal, write, fsync)."""
         payload = line.encode("utf-8")
         start = self._valid_end

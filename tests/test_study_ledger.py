@@ -215,11 +215,11 @@ class TestAppendRobustness:
         calls = []
 
         class FlakyLedger(StudyLedger):
-            def _append_line(self, line, seq):
+            def _append_line(self, line):
                 calls.append(1)
                 if len(calls) < 3:
                     raise TransientHarnessError("disk hiccup")
-                super()._append_line(line, seq)
+                super()._append_line(line)
 
         ledger = FlakyLedger(
             tmp_path / "flaky.ledger",
@@ -236,7 +236,7 @@ class TestAppendRobustness:
 
     def test_exhausted_retries_raise_ledger_error(self, tmp_path):
         class DeadLedger(StudyLedger):
-            def _append_line(self, line, seq):
+            def _append_line(self, line):
                 raise OSError("disk gone")
 
         ledger = DeadLedger(
