@@ -112,11 +112,6 @@ class BudgetTracker:
             return None
         return max(self.budget.max_events - self.events_used, 0)
 
-    def event_budget_exhausted(self) -> bool:
-        """True once every budgeted event has been spent."""
-        remaining = self.events_remaining()
-        return remaining is not None and remaining <= 0
-
     def consume_events(self, n_events: int) -> None:
         """Record ``n_events`` simulated strikes as spent.
 

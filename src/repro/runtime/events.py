@@ -4,14 +4,14 @@ Beam campaigns treat DUEs, SEFIs and power-cycles as *data*, not as
 failures — the device is rebooted and the run continues (paper
 Section III-C).  The runtime mirrors that protocol for the harness
 itself: every recovery action (an isolated crash, a degraded
-exposure, a retry, a checkpoint, a deadline stop) is recorded as a
+exposure, a retry, a resume, a deadline stop) is recorded as a
 :class:`HarnessEvent` so no intervention is ever silent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.runtime.errors import ConfigurationError
 
@@ -22,15 +22,11 @@ class EventKind:
     ISOLATION = "isolation"
     DEGRADATION = "degradation"
     RETRY = "retry"
-    CHECKPOINT = "checkpoint"
     RESUME = "resume"
     DEADLINE = "deadline"
     INTERRUPT = "interrupt"
 
-    ALL = (
-        ISOLATION, DEGRADATION, RETRY, CHECKPOINT, RESUME, DEADLINE,
-        INTERRUPT,
-    )
+    ALL = (ISOLATION, DEGRADATION, RETRY, RESUME, DEADLINE, INTERRUPT)
 
 
 @dataclass(frozen=True)
@@ -95,17 +91,6 @@ class EventLog:
     def count(self, kind: str) -> int:
         """Number of recorded events of one kind."""
         return sum(1 for e in self.events if e.kind == kind)
-
-    def of_kind(self, kind: str) -> List[HarnessEvent]:
-        """All events of one kind, in record order."""
-        return [e for e in self.events if e.kind == kind]
-
-    def summary(self) -> Dict[str, int]:
-        """``{kind: count}`` over the kinds that actually occurred."""
-        out: Dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
 
     def extend_from_dicts(self, records: Sequence[dict]) -> None:
         """Append events serialized by :meth:`HarnessEvent.to_dict`."""
