@@ -57,14 +57,14 @@ ALL_ACTIONS = (
 #: Payload fields whose value the ``corrupt`` action bumps (whichever
 #: exists first) — each changes what a resume or a served answer
 #: means, and nothing but the checksum checks it, so a reader
-#: without checksum verification resumes silently wrong.  A ledger
-#: record is bumped in its ``body`` (the ``study-started`` record's
-#: ``n_shards``, from which the study service reports a job's pending
-#: shards): its ``seq`` would trip the sequence check first.
+#: without checksum verification resumes silently wrong.  A
+#: checkpoint's ``cursor`` is the next unit its run resumes at.  A
+#: ledger record is bumped in its ``body`` (the ``study-started``
+#: record's ``n_shards``, from which the study service reports a
+#: job's pending shards): its ``seq`` would trip the sequence check
+#: first.
 _CORRUPTIBLE_FIELDS = (
-    "next_step",
-    "next_day",
-    "events_used",
+    "cursor",
     "n_points",
     "n_shards",
 )

@@ -80,7 +80,7 @@ from repro.chaos.schedule import (
 from repro.durable import QUARANTINE_SUFFIX, tmp_path
 from repro.memory.errors import DDR_SENSITIVITIES
 from repro.memory.tester import CorrectLoopTester, DdrTestResult
-from repro.runtime.checkpoint import CampaignCheckpoint, FleetCheckpoint
+from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.errors import CheckpointError, ConfigurationError
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.supervisor import (
@@ -326,7 +326,6 @@ class _Runner(_Workload):
     """A checkpointed supervised run (campaign or fleet)."""
 
     record = "checkpoint"
-    snapshot: type = CampaignCheckpoint
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -369,7 +368,7 @@ class _Runner(_Workload):
             )
         else:
             try:
-                self.snapshot.load(self.checkpoint)
+                Checkpoint.load(self.checkpoint, runner.digest)
             except CheckpointError as exc:
                 self.violations.append(
                     f"checkpoint observable invalid: {exc}"
@@ -424,7 +423,6 @@ class _Fleet(_Runner):
     """The fleet simulation."""
 
     unit = "days"
-    snapshot = FleetCheckpoint
 
     def _runner(self, **timing):
         return trials.make_fleet_runner(self.checkpoint, **timing)
@@ -1034,7 +1032,7 @@ SITES: Dict[str, Site] = {
     # 4 dispatches; 4 store publishes; 1 quarantine (the poison
     # trial's single poison shard).
     "studies.ledger_append": Site("study", 6),
-    "studies.quarantine": Site("poison-study", 1),
+    "studies.quarantine": Site("poison-study", 1, supervised=True),
     "studies.shard_commit": Site("study", 4),
     "studies.shard_dispatch": Site("study", 4, supervised=True),
     "supervisor.step": Site("campaign", supervised=True),

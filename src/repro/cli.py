@@ -332,8 +332,6 @@ def cmd_avf(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Supervised campaign with checkpoint/resume and budgets."""
-    import signal
-
     from repro.beam.logbook import CampaignLogbook
     from repro.obs import core as obs_core
     from repro.obs.cli import export_metrics, observer_from_args
@@ -345,6 +343,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.runtime.supervisor import (
         PLAN_FACTORIES,
         CampaignRunner,
+        signal_interrupt,
     )
 
     try:
@@ -361,57 +360,37 @@ def cmd_run(args: argparse.Namespace) -> int:
     # polls between steps, so the final checkpoint still flushes and
     # the process exits with a distinct, scriptable code instead of
     # dying mid-write.
-    interrupt_flag = {"hit": False}
-
-    def _on_signal(signum: int, frame) -> None:
-        del signum, frame
-        interrupt_flag["hit"] = True
-
-    previous_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
+    with signal_interrupt() as interrupt:
+        runner = CampaignRunner(
+            plan,
+            seed=args.seed,
+            budget=budget,
+            checkpoint_path=args.checkpoint or None,
+            checkpoint_every=args.checkpoint_every,
+            interrupt=interrupt,
+        )
         try:
-            previous_handlers[signum] = signal.signal(
-                signum, _on_signal
-            )
-        except (ValueError, OSError):
-            # Not the main thread (embedded use): run uninterrupted.
-            break
-    runner = CampaignRunner(
-        plan,
-        seed=args.seed,
-        budget=budget,
-        checkpoint_path=args.checkpoint or None,
-        checkpoint_every=args.checkpoint_every,
-        interrupt=lambda: interrupt_flag["hit"],
-    )
-    try:
-        if observer is not None:
-            with obs_core.observing(observer):
+            if observer is not None:
+                with obs_core.observing(observer):
+                    outcome = runner.run(
+                        resume=args.resume, max_steps=args.max_steps
+                    )
+                if args.metrics:
+                    export_metrics(observer, args.metrics)
+                    print(f"metrics written to {args.metrics}")
+                if args.trace:
+                    print(f"trace written to {args.trace}")
+            else:
                 outcome = runner.run(
                     resume=args.resume, max_steps=args.max_steps
                 )
-            if args.metrics:
-                export_metrics(observer, args.metrics)
-                print(f"metrics written to {args.metrics}")
-            if args.trace:
-                print(f"trace written to {args.trace}")
-        else:
-            outcome = runner.run(
-                resume=args.resume, max_steps=args.max_steps
+        except CheckpointError as exc:
+            print(f"checkpoint error: {exc}")
+            print(
+                "the checkpoint was not used; re-run without --resume"
+                " to start over, or restore a valid checkpoint"
             )
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}")
-        print(
-            "the checkpoint was not used; re-run without --resume"
-            " to start over, or restore a valid checkpoint"
-        )
-        return ExitCode.CHECKPOINT
-    finally:
-        for signum, handler in previous_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):
-                pass
+            return ExitCode.CHECKPOINT
     status = "completed" if outcome.completed else "INCOMPLETE"
     if outcome.interrupted:
         status = "INTERRUPTED"

@@ -13,12 +13,15 @@ is the one implementation of it:
   opens and the owner's sweep or next write removes.
 * **Verify on read.**  Every record carries a serde tag, a SHA-256
   :func:`payload_checksum` over its canonical JSON, and its own
-  address (a key, or the digest its file is named after).
+  address (a key, the digest its file is named after, or the digest
+  of the run a checkpoint resumes).  :func:`record_defect` is the one
+  check: schema and version, then checksum, then address.
 * **Quarantine, never serve.**  :func:`read_verified` renames a record
-  that fails any check to ``*.quarantined`` for post-mortem and reads
+  that fails the check to ``*.quarantined`` for post-mortem and reads
   it as a miss, so its owner recomputes it.  A checkpoint is its run's
-  authority rather than an accelerator, so a bad one raises
-  :class:`~repro.runtime.errors.CheckpointError` instead.
+  authority rather than an accelerator, so its load runs the same
+  check and raises :class:`~repro.runtime.errors.CheckpointError`
+  instead, leaving the file where it is.
 
 :class:`ContentStore` combines the three for the content-addressed
 stores (the service result cache and the study shard store).
@@ -47,6 +50,7 @@ __all__ = [
     "fsync_dir",
     "payload_checksum",
     "read_verified",
+    "record_defect",
     "tmp_path",
 ]
 
@@ -148,7 +152,7 @@ def read_verified(
     except (OSError, ValueError):
         defect = "unreadable"
     else:
-        defect = _defect(record, kind, address_field, address)
+        defect = record_defect(record, kind, address_field, address)
         if not defect:
             return record, ""
     try:
@@ -158,10 +162,23 @@ def read_verified(
     return None, defect
 
 
-def _defect(
+def record_defect(
     record: object, kind: str, address_field: str, address: str
 ) -> str:
-    """The first check ``record`` fails, or ``""``."""
+    """The first check a parsed record fails, or ``""``.
+
+    Args:
+        record: the parsed JSON document.
+        kind: serde kind it must pass :func:`serde.check` as.
+        address_field: the record field naming where it belongs.
+        address: the value that field must hold.
+
+    Returns:
+        ``"schema"`` (not an object, or the wrong serde kind or
+        version), ``"checksum"`` (missing, or not the payload's), or
+        ``"address"`` (filed under another key or run); ``""`` when
+        the record verifies.
+    """
     if not isinstance(record, dict):
         return "schema"
     try:

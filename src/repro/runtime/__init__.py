@@ -8,16 +8,17 @@ campaigns the same resilience:
 * :mod:`repro.runtime.errors` — the typed exception hierarchy and
   shared argument validators;
 * :mod:`repro.runtime.events` — the harness flight recorder
-  (isolation, degradation, retry, checkpoint, resume, deadline);
+  (isolation, degradation, retry, resume, deadline, interrupt);
 * :mod:`repro.runtime.budget` — wall-clock deadlines, event budgets,
   the deterministic retry-with-backoff policy, and the circuit
   breaker;
-* :mod:`repro.runtime.checkpoint` — JSON snapshots of campaign/fleet
-  state (including the ``SeedSequence`` spawn position) for
-  byte-identical resume;
+* :mod:`repro.runtime.checkpoint` — the one checkpoint record of a
+  supervised run (cursor, runner state such as the ``SeedSequence``
+  spawn position, finished units) for byte-identical resume;
 * :mod:`repro.runtime.supervisor` — :class:`CampaignRunner` /
-  :class:`FleetRunner`, the supervised drivers behind
-  ``python -m repro run --resume``;
+  :class:`FleetRunner` over one checkpointed segment loop, the
+  supervised drivers behind ``python -m repro run --resume``, and
+  the SIGINT/SIGTERM flag they poll;
 * :mod:`repro.runtime.forkpool` — ``fork`` process pools whose
   workers exit when their parent dies (the service's ``--workers``
   pool and a study's shard pool).

@@ -12,10 +12,14 @@ protocol for the virtual campaigns:
   event budgets with graceful degradation, and retry-with-backoff
   for transient harness faults;
 * :class:`FleetRunner` does the same for the year-long
-  :class:`~repro.core.fleet.FleetSimulator`;
+  :class:`~repro.core.fleet.FleetSimulator`; the two share one
+  checkpointed segment loop and one
+  :class:`~repro.runtime.checkpoint.Checkpoint` record;
 * :class:`Supervisor` is the shared retry/isolation/budget engine,
   usable around any long-running entry point (``RiskAssessment``,
-  the DDR correct-loop tester, FPGA campaigns).
+  the DDR correct-loop tester, FPGA campaigns);
+* :func:`signal_interrupt` turns SIGINT/SIGTERM into the flag a
+  supervised run polls between units of work.
 
 Everything is deterministic: a run killed at any checkpoint boundary
 and resumed in a fresh process produces a result identical to the
@@ -24,12 +28,15 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import contextlib
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -40,21 +47,19 @@ from typing import (
 
 from repro.beam.beamline import Beamline, chipir, rotax
 from repro.beam.campaign import IrradiationCampaign
-from repro.beam.results import CampaignResult
+from repro.beam.results import CampaignResult, ExposureResult
 from repro.chaos.faultpoints import fault_point
 from repro.core.fleet import FleetDay, FleetSimulator, FleetYearResult
 from repro.devices import DEVICES, get_device
 from repro.obs import core as obs
 from repro.runtime.budget import Budget, BudgetTracker, RetryPolicy
 from repro.runtime.checkpoint import (
-    CampaignCheckpoint,
-    FleetCheckpoint,
+    Checkpoint,
     cleanup_stale_tmp,
     plan_digest,
 )
 from repro.runtime.errors import (
     CheckpointError,
-    CheckpointMismatchError,
     ConfigurationError,
     TransientHarnessError,
     require_non_empty,
@@ -340,7 +345,193 @@ class SupervisedCampaignResult:
         return "\n".join(lines)
 
 
-class CampaignRunner:
+class _CheckpointedRunner:
+    """The checkpointed segment loop both supervised runners share.
+
+    A runner keeps only what is its own: its unit of work
+    (:meth:`_run_unit`), the inputs to its digest (``config`` and
+    ``seed``), and the state it saves and restores (:meth:`_start`,
+    :meth:`_snapshot`).  This class owns the rest: the stale-tmp
+    sweep, resume, the stop checks before each unit, and the
+    checkpoint cadence and writes.
+    """
+
+    #: Label of the run's harness events.
+    label = ""
+    #: What one unit of work is called in event messages.
+    unit = ""
+    #: Suffix of the RESUME message, formatted with the saved state.
+    resume_note = ""
+
+    def __init__(
+        self,
+        config: object,
+        seed: int,
+        checkpoint_path: Optional[Union[str, Path]],
+        checkpoint_every: int,
+        budget: Optional[Budget],
+        retry: Optional[RetryPolicy],
+        clock: Optional[Callable[[], float]],
+        sleep: Optional[Callable[[float], None]],
+    ) -> None:
+        self.checkpoint_path = (
+            Path(checkpoint_path) if checkpoint_path else None
+        )
+        if self.checkpoint_path is not None:
+            cleanup_stale_tmp(self.checkpoint_path)
+        self._every = checkpoint_every
+        self.budget = budget or Budget()
+        self.retry = retry or RetryPolicy()
+        self._clock = clock
+        self._sleep = sleep
+        # A checkpoint's address: another runner kind, configuration
+        # or seed never resumes from it.
+        self.digest = plan_digest(
+            [{"runner": self.label, "seed": seed, "config": config}]
+        )
+
+    def _start(
+        self, supervisor: Supervisor, checkpoint: Optional[Checkpoint]
+    ) -> None:
+        """Set up a run's state (restored when resuming)."""
+        raise NotImplementedError
+
+    def _run_unit(self, index: int, supervisor: Supervisor) -> None:
+        """Run unit ``index``."""
+        raise NotImplementedError
+
+    def _snapshot(self, supervisor: Supervisor) -> Tuple[dict, List[dict]]:
+        """The run's state and its finished units' records."""
+        raise NotImplementedError
+
+    def _segment(
+        self,
+        resume: bool,
+        n_units: int,
+        interrupt: Optional[Callable[[], bool]] = None,
+        max_units: Optional[int] = None,
+    ) -> Tuple[Supervisor, int, bool]:
+        """Run units until ``n_units`` are done or a stop check trips:
+        ``interrupt``, the segment cap ``max_units``, the deadline,
+        in that order, before each unit.
+
+        Returns:
+            ``(supervisor, units done, interrupted)``; the supervisor
+            holds the run's events and budget tracker.
+        """
+        checkpoint = None
+        if resume:
+            if self.checkpoint_path is None:
+                raise ConfigurationError(
+                    "resume=True requires a checkpoint_path"
+                )
+            checkpoint = Checkpoint.load(self.checkpoint_path, self.digest)
+        events = EventLog()
+        tracker = BudgetTracker(self.budget, clock=self._clock)
+        supervisor = Supervisor(
+            self.retry, tracker, events, sleep=self._sleep
+        )
+        self._start(supervisor, checkpoint)
+        done = 0
+        if checkpoint is not None:
+            done = checkpoint.cursor
+            events.extend_from_dicts(checkpoint.events)
+            events.record(
+                EventKind.RESUME,
+                self.label,
+                f"resumed from {self.checkpoint_path} at {self.unit}"
+                f" {done}/{n_units}"
+                + self.resume_note.format(**checkpoint.state),
+            )
+        start = done
+        interrupted = False
+        for index in range(start, n_units):
+            if interrupt is not None and interrupt():
+                interrupted = True
+                events.record(
+                    EventKind.INTERRUPT,
+                    self.label,
+                    f"interrupt received before {self.unit} {index};"
+                    " flushing final checkpoint and stopping",
+                )
+                break
+            if max_units is not None and index - start >= max_units:
+                events.record(
+                    EventKind.DEADLINE,
+                    self.label,
+                    f"segment {self.unit} budget ({max_units}) reached"
+                    f" at {self.unit} {index}; checkpoint and stop",
+                )
+                break
+            if tracker.deadline_exceeded():
+                events.record(
+                    EventKind.DEADLINE,
+                    self.label,
+                    "wall-clock budget"
+                    f" ({self.budget.wall_clock_s:.1f} s) exhausted"
+                    f" after {tracker.elapsed_s():.1f} s at"
+                    f" {self.unit} {index}; checkpoint and stop",
+                )
+                break
+            self._run_unit(index, supervisor)
+            done = index + 1
+            if self.checkpoint_path is not None and done % self._every == 0:
+                self._write_checkpoint(done, supervisor)
+        if self.checkpoint_path is not None:
+            self._write_checkpoint(done, supervisor)
+        return supervisor, done, interrupted
+
+    def _write_checkpoint(self, cursor: int, supervisor: Supervisor) -> None:
+        state, done = self._snapshot(supervisor)
+        checkpoint = Checkpoint(
+            digest=self.digest,
+            cursor=cursor,
+            state=state,
+            done=done,
+            events=[e.to_dict() for e in supervisor.events],
+        )
+        supervisor.call(
+            "checkpoint",
+            lambda: checkpoint.save(self.checkpoint_path),
+            retry_on=(TransientHarnessError, CheckpointError),
+        )
+
+
+@contextlib.contextmanager
+def signal_interrupt() -> Iterator[Callable[[], bool]]:
+    """Turn SIGINT/SIGTERM into a flag for the duration of the block.
+
+    Yields the zero-argument poll a supervised run checks between
+    units of work (:class:`CampaignRunner`'s and
+    :class:`~repro.studies.scheduler.StudyScheduler`'s ``interrupt``),
+    so a signal stops the run at a boundary — the final checkpoint or
+    ledger append still lands — instead of dying mid-write.  Off the
+    main thread (embedded use) no handler can be installed, and the
+    run goes uninterrupted.  The previous handlers come back on exit.
+    """
+    received: List[int] = []
+
+    def _on_signal(signum: int, frame) -> None:
+        del frame
+        received.append(signum)
+
+    previous = {}
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous[signum] = signal.signal(signum, _on_signal)
+        except (ValueError, OSError):
+            break
+    try:
+        yield lambda: bool(received)
+    finally:
+        for signum, handler in previous.items():
+            try:
+                signal.signal(signum, handler)
+            except (ValueError, OSError):
+                pass
+
+
+class CampaignRunner(_CheckpointedRunner):
     """Supervised executor for a beam-campaign plan.
 
     Args:
@@ -359,9 +550,16 @@ class CampaignRunner:
         interrupt: zero-argument poll the runner checks at every step
             boundary; returning True stops the segment gracefully
             (final checkpoint flushed, ``interrupted`` flagged).  The
-            CLI wires its signal handlers here so SIGINT/SIGTERM
+            CLI wires :func:`signal_interrupt` here so SIGINT/SIGTERM
             never tears a step in half.
     """
+
+    label = "campaign"
+    unit = "step"
+    resume_note = (
+        " (spawn position {spawn_position},"
+        " {events_used} strikes already consumed)"
+    )
 
     def __init__(
         self,
@@ -380,21 +578,18 @@ class CampaignRunner:
         require_positive_int("checkpoint_every", checkpoint_every)
         self.plan: Tuple[ExposureStep, ...] = tuple(plan)
         self.seed = seed
-        self.budget = budget or Budget()
-        self.retry = retry or RetryPolicy()
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path else None
-        )
-        if self.checkpoint_path is not None:
-            cleanup_stale_tmp(self.checkpoint_path)
-        self.checkpoint_every = checkpoint_every
-        self._clock = clock
-        self._sleep = sleep
         self._workload_factory = workload_factory or create_workload
         self._interrupt = interrupt
-        self.digest = plan_digest([s.to_dict() for s in self.plan])
-
-    # ------------------------------------------------------------------
+        super().__init__(
+            [s.to_dict() for s in self.plan],
+            seed,
+            checkpoint_path,
+            checkpoint_every,
+            budget,
+            retry,
+            clock,
+            sleep,
+        )
 
     def run(
         self,
@@ -421,136 +616,62 @@ class CampaignRunner:
             steps_total=len(self.plan),
             resume=bool(resume),
         ):
-            return self._run_segment(resume, max_steps)
-
-    def _run_segment(
-        self,
-        resume: bool,
-        max_steps: Optional[int],
-    ) -> SupervisedCampaignResult:
-        """The :meth:`run` body, inside the ``run.campaign`` span."""
-        events = EventLog()
-        campaign = IrradiationCampaign(self.seed, event_log=events)
-        start_step = 0
-        events_used = 0
-        if resume:
-            start_step, events_used = self._restore(campaign, events)
-        tracker = BudgetTracker(
-            self.budget, clock=self._clock, events_used=events_used
-        )
-        supervisor = Supervisor(
-            self.retry, tracker, events, sleep=self._sleep
-        )
-
-        steps_done = start_step
-        segment = 0
-        interrupted = False
-        for idx in range(start_step, len(self.plan)):
-            if self._interrupt is not None and self._interrupt():
-                interrupted = True
-                events.record(
-                    EventKind.INTERRUPT,
-                    "campaign",
-                    f"interrupt received before step {idx};"
-                    " flushing final checkpoint and stopping",
-                )
-                break
-            if max_steps is not None and segment >= max_steps:
-                events.record(
-                    EventKind.DEADLINE,
-                    "campaign",
-                    f"segment step budget ({max_steps}) reached at"
-                    f" step {idx}; checkpoint and stop",
-                )
-                break
-            if tracker.deadline_exceeded():
-                events.record(
-                    EventKind.DEADLINE,
-                    "campaign",
-                    "wall-clock budget"
-                    f" ({self.budget.wall_clock_s:.1f} s) exhausted"
-                    f" after {tracker.elapsed_s():.1f} s at step"
-                    f" {idx}; checkpoint and stop",
-                )
-                break
-            step = self.plan[idx]
-            with obs.span(
-                "supervisor.step", step=idx, label=step.label()
-            ):
-                supervisor.isolate(
-                    step.label(),
-                    lambda s=step, i=idx: self._execute(
-                        campaign, supervisor, tracker, s, i
-                    ),
-                    step=idx,
-                )
-            steps_done = idx + 1
-            segment += 1
-            if (
-                self.checkpoint_path is not None
-                and steps_done % self.checkpoint_every == 0
-            ):
-                self._write_checkpoint(
-                    campaign, events, tracker, steps_done, supervisor
-                )
-
-        completed = steps_done == len(self.plan)
-        if self.checkpoint_path is not None:
-            self._write_checkpoint(
-                campaign, events, tracker, steps_done, supervisor
+            supervisor, done, interrupted = self._segment(
+                resume, len(self.plan), self._interrupt, max_steps
             )
-        return SupervisedCampaignResult(
-            result=campaign.result,
-            events=list(events),
-            completed=completed,
-            steps_completed=steps_done,
-            steps_total=len(self.plan),
-            events_used=tracker.events_used,
-            elapsed_s=tracker.elapsed_s(),
-            interrupted=interrupted,
-        )
+            return SupervisedCampaignResult(
+                result=self._campaign.result,
+                events=list(supervisor.events),
+                completed=done == len(self.plan),
+                steps_completed=done,
+                steps_total=len(self.plan),
+                events_used=supervisor.tracker.events_used,
+                elapsed_s=supervisor.tracker.elapsed_s(),
+                interrupted=interrupted,
+            )
 
     # ------------------------------------------------------------------
 
-    def _restore(
-        self, campaign: IrradiationCampaign, events: EventLog
-    ) -> Tuple[int, int]:
-        if self.checkpoint_path is None:
-            raise ConfigurationError(
-                "resume=True requires a checkpoint_path"
-            )
-        snapshot = CampaignCheckpoint.load(self.checkpoint_path)
-        snapshot.require_digest(self.digest)
-        if snapshot.seed != self.seed:
-            raise CheckpointMismatchError(
-                f"checkpoint seed {snapshot.seed} does not match"
-                f" runner seed {self.seed}"
-            )
-        campaign.restore_spawn_position(snapshot.spawn_position)
-        campaign.result = snapshot.restore_result()
-        events.extend_from_dicts(snapshot.events)
-        events.record(
-            EventKind.RESUME,
-            "campaign",
-            f"resumed from {self.checkpoint_path} at step"
-            f" {snapshot.next_step}/{len(self.plan)}"
-            f" (spawn position {snapshot.spawn_position},"
-            f" {snapshot.events_used} strikes already consumed)",
+    def _start(
+        self, supervisor: Supervisor, checkpoint: Optional[Checkpoint]
+    ) -> None:
+        self._campaign = IrradiationCampaign(
+            self.seed, event_log=supervisor.events
         )
-        return snapshot.next_step, snapshot.events_used
+        if checkpoint is None:
+            return
+        self._campaign.restore_spawn_position(
+            checkpoint.state["spawn_position"]
+        )
+        supervisor.tracker.consume_events(checkpoint.state["events_used"])
+        for raw in checkpoint.done:
+            self._campaign.result.add(ExposureResult.from_dict(raw))
+
+    def _snapshot(self, supervisor: Supervisor) -> Tuple[dict, List[dict]]:
+        state = {
+            "spawn_position": self._campaign.spawn_position,
+            "events_used": supervisor.tracker.events_used,
+        }
+        return state, [e.to_dict() for e in self._campaign.result.exposures]
+
+    def _run_unit(self, index: int, supervisor: Supervisor) -> None:
+        step = self.plan[index]
+        with obs.span("supervisor.step", step=index, label=step.label()):
+            supervisor.isolate(
+                step.label(),
+                lambda: self._execute(supervisor, step, index),
+                step=index,
+            )
 
     def _execute(
-        self,
-        campaign: IrradiationCampaign,
-        supervisor: Supervisor,
-        tracker: BudgetTracker,
-        step: ExposureStep,
-        idx: int,
+        self, supervisor: Supervisor, step: ExposureStep, idx: int
     ) -> None:
         # Before any lookup and — critically — before the campaign
         # spawns the step's RNG stream, so a retried step replays the
         # exact draws of an unfaulted one.
         fault_point("supervisor.step", step=idx, label=step.label())
+        campaign = self._campaign
+        tracker = supervisor.tracker
         beamline = BEAMLINE_FACTORIES[step.beamline]()
         device = get_device(step.device)
         if step.mode == "counting":
@@ -620,31 +741,6 @@ class CampaignRunner:
             + exposure.masked_count
         )
 
-    def _write_checkpoint(
-        self,
-        campaign: IrradiationCampaign,
-        events: EventLog,
-        tracker: BudgetTracker,
-        next_step: int,
-        supervisor: Supervisor,
-    ) -> None:
-        snapshot = CampaignCheckpoint(
-            seed=self.seed,
-            digest=self.digest,
-            next_step=next_step,
-            spawn_position=campaign.spawn_position,
-            events_used=tracker.events_used,
-            exposures=[
-                e.to_dict() for e in campaign.result.exposures
-            ],
-            events=[e.to_dict() for e in events],
-        )
-        supervisor.call(
-            "checkpoint",
-            lambda: snapshot.save(self.checkpoint_path),
-            retry_on=(TransientHarnessError, CheckpointError),
-        )
-
 
 @dataclass
 class SupervisedFleetResult:
@@ -667,7 +763,7 @@ class SupervisedFleetResult:
     elapsed_s: float = 0.0
 
 
-class FleetRunner:
+class FleetRunner(_CheckpointedRunner):
     """Supervised executor for the year-long fleet simulation.
 
     Args:
@@ -679,6 +775,9 @@ class FleetRunner:
         clock: injectable monotonic clock.
         sleep: injectable backoff sleeper.
     """
+
+    label = "fleet"
+    unit = "day"
 
     def __init__(
         self,
@@ -694,27 +793,21 @@ class FleetRunner:
             "checkpoint_every_days", checkpoint_every_days
         )
         self.simulator = simulator
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path else None
-        )
-        if self.checkpoint_path is not None:
-            cleanup_stale_tmp(self.checkpoint_path)
-        self.checkpoint_every_days = checkpoint_every_days
-        self.budget = budget or Budget()
-        self.retry = retry or RetryPolicy()
-        self._clock = clock
-        self._sleep = sleep
-        self.digest = plan_digest(
-            [
-                {
-                    "device": simulator.device.name,
-                    "scenario": simulator.scenario.label,
-                    "n_devices": simulator.n_devices,
-                    "rain_probability": simulator.rain_probability,
-                    "rain_persistence": simulator.rain_persistence,
-                    "seed": simulator.seed,
-                }
-            ]
+        super().__init__(
+            {
+                "device": simulator.device.name,
+                "scenario": simulator.scenario.label,
+                "n_devices": simulator.n_devices,
+                "rain_probability": simulator.rain_probability,
+                "rain_persistence": simulator.rain_persistence,
+            },
+            simulator.seed,
+            checkpoint_path,
+            checkpoint_every_days,
+            budget,
+            retry,
+            clock,
+            sleep,
         )
 
     def run(
@@ -732,140 +825,52 @@ class FleetRunner:
                 a different fleet configuration.
         """
         require_positive_int("n_days", n_days)
+        self._years = years_since_solar_minimum
         with obs.span(
             "run.fleet", n_days=n_days, resume=bool(resume)
         ):
-            return self._run_segment(
-                n_days, years_since_solar_minimum, resume
+            supervisor, done, _ = self._segment(resume, n_days)
+            return SupervisedFleetResult(
+                result=self._result,
+                events=list(supervisor.events),
+                completed=done == n_days,
+                days_completed=done,
+                n_days=n_days,
+                elapsed_s=supervisor.tracker.elapsed_s(),
             )
-
-    def _run_segment(
-        self,
-        n_days: int,
-        years_since_solar_minimum: float,
-        resume: bool,
-    ) -> SupervisedFleetResult:
-        """The :meth:`run` body, inside the ``run.fleet`` span."""
-        events = EventLog()
-        result = FleetYearResult()
-        start_day = 0
-        if resume:
-            start_day = self._restore(result, events, n_days)
-        else:
-            self.simulator.start()
-        tracker = BudgetTracker(self.budget, clock=self._clock)
-        supervisor = Supervisor(
-            self.retry, tracker, events, sleep=self._sleep
-        )
-
-        days_done = start_day
-        for day in range(start_day, n_days):
-            if tracker.deadline_exceeded():
-                events.record(
-                    EventKind.DEADLINE,
-                    "fleet",
-                    "wall-clock budget"
-                    f" ({self.budget.wall_clock_s:.1f} s) exhausted"
-                    f" after {tracker.elapsed_s():.1f} s at day"
-                    f" {day}; checkpoint and stop",
-                )
-                break
-            record = supervisor.call(
-                f"day {day}",
-                lambda d=day: self._step_day(
-                    d, years_since_solar_minimum
-                ),
-            )
-            result.days.append(record)
-            days_done = day + 1
-            if (
-                self.checkpoint_path is not None
-                and days_done % self.checkpoint_every_days == 0
-            ):
-                self._write_checkpoint(
-                    result, events, days_done, supervisor
-                )
-
-        completed = days_done == n_days
-        if self.checkpoint_path is not None:
-            self._write_checkpoint(
-                result, events, days_done, supervisor
-            )
-        return SupervisedFleetResult(
-            result=result,
-            events=list(events),
-            completed=completed,
-            days_completed=days_done,
-            n_days=n_days,
-            elapsed_s=tracker.elapsed_s(),
-        )
 
     # ------------------------------------------------------------------
 
-    def _step_day(
-        self, day: int, years_since_solar_minimum: float
-    ) -> FleetDay:
+    def _start(
+        self, supervisor: Supervisor, checkpoint: Optional[Checkpoint]
+    ) -> None:
+        self._result = FleetYearResult()
+        if checkpoint is None:
+            self.simulator.start()
+            return
+        self.simulator.load_state(checkpoint.state)
+        self._result.days.extend(
+            FleetDay.from_dict(raw) for raw in checkpoint.done
+        )
+
+    def _snapshot(self, supervisor: Supervisor) -> Tuple[dict, List[dict]]:
+        return (
+            self.simulator.state_dict(),
+            [d.to_dict() for d in self._result.days],
+        )
+
+    def _run_unit(self, index: int, supervisor: Supervisor) -> None:
+        self._result.days.append(
+            supervisor.call(f"day {index}", lambda: self._step_day(index))
+        )
+
+    def _step_day(self, day: int) -> FleetDay:
         with obs.span("fleet.day", day=day):
             obs.inc("repro_fleet_days_total")
             # Before the simulator touches its generator, so a retried
             # day consumes exactly the draws of an unfaulted one.
             fault_point("fleet.day", day=day)
-            return self.simulator.step_day(
-                day, years_since_solar_minimum
-            )
-
-    def _restore(
-        self,
-        result: FleetYearResult,
-        events: EventLog,
-        n_days: int,
-    ) -> int:
-        if self.checkpoint_path is None:
-            raise ConfigurationError(
-                "resume=True requires a checkpoint_path"
-            )
-        snapshot = FleetCheckpoint.load(self.checkpoint_path)
-        snapshot.require_digest(self.digest)
-        self.simulator.load_state(
-            {
-                "rng_state": snapshot.rng_state,
-                "raining": snapshot.raining,
-            }
-        )
-        result.days.extend(
-            FleetDay.from_dict(raw) for raw in snapshot.days
-        )
-        events.extend_from_dicts(snapshot.events)
-        events.record(
-            EventKind.RESUME,
-            "fleet",
-            f"resumed from {self.checkpoint_path} at day"
-            f" {snapshot.next_day}/{n_days}",
-        )
-        return snapshot.next_day
-
-    def _write_checkpoint(
-        self,
-        result: FleetYearResult,
-        events: EventLog,
-        next_day: int,
-        supervisor: Supervisor,
-    ) -> None:
-        state = self.simulator.state_dict()
-        snapshot = FleetCheckpoint(
-            seed=self.simulator.seed,
-            digest=self.digest,
-            next_day=next_day,
-            rng_state=state["rng_state"],
-            raining=state["raining"],
-            days=[d.to_dict() for d in result.days],
-            events=[e.to_dict() for e in events],
-        )
-        supervisor.call(
-            "checkpoint",
-            lambda: snapshot.save(self.checkpoint_path),
-            retry_on=(TransientHarnessError, CheckpointError),
-        )
+            return self.simulator.step_day(day, self._years)
 
 
 # ----------------------------------------------------------------------
@@ -953,4 +958,5 @@ __all__ = [
     "SupervisedFleetResult",
     "figure4_plan",
     "heterogeneous_plan",
+    "signal_interrupt",
 ]

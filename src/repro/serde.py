@@ -75,6 +75,10 @@ SCHEMA_VERSIONS = {
     # A TransportResult served from a surrogate surface (fractions
     # plus certified per-channel bounds).
     "surrogate-transport": 1,
+    # A supervised run's checkpoint: cursor, runner state, finished
+    # units and harness events, addressed by the runner's digest
+    # (carries its own SHA-256 payload checksum).
+    "checkpoint": 1,
 }
 
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 from pathlib import Path
 
 from repro.exitcodes import ExitCode
 from repro.runtime.budget import Budget
 from repro.runtime.errors import ConfigurationError
+from repro.runtime.supervisor import signal_interrupt
 from repro.studies.ledger import LedgerError, StudyLedger
 from repro.studies.report import build_report
 from repro.studies.scheduler import StudyScheduler
@@ -149,43 +149,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Graceful interrupt, mirroring `repro run`: the scheduler polls
     # the flag between shards, so the in-flight ledger append still
     # lands and the study resumes exactly where it stopped.
-    interrupt_flag = {"hit": False}
-
-    def _on_signal(signum: int, frame) -> None:
-        del signum, frame
-        interrupt_flag["hit"] = True
-
-    previous_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous_handlers[signum] = signal.signal(
-                signum, _on_signal
-            )
-        except (ValueError, OSError):
-            break
-    scheduler = StudyScheduler(
-        spec,
-        ledger_path=args.ledger,
-        store_root=args.store,
-        budget=budget,
-        interrupt=lambda: interrupt_flag["hit"],
-        max_shards=args.max_shards,
-    )
-    try:
-        outcome = scheduler.run()
-    except LedgerError as exc:
-        print(f"ledger error: {exc}")
-        print(
-            "the ledger was not used; move it aside to start over,"
-            " or restore an uncorrupted copy to resume"
+    with signal_interrupt() as interrupt:
+        scheduler = StudyScheduler(
+            spec,
+            ledger_path=args.ledger,
+            store_root=args.store,
+            budget=budget,
+            interrupt=interrupt,
+            max_shards=args.max_shards,
         )
-        return ExitCode.CHECKPOINT
-    finally:
-        for signum, handler in previous_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):
-                pass
+        try:
+            outcome = scheduler.run()
+        except LedgerError as exc:
+            print(f"ledger error: {exc}")
+            print(
+                "the ledger was not used; move it aside to start over,"
+                " or restore an uncorrupted copy to resume"
+            )
+            return ExitCode.CHECKPOINT
     print(outcome.report.to_text())
     if args.json:
         Path(args.json).write_text(

@@ -65,12 +65,13 @@ class TestSweep:
     def test_violations_exit_1(self, tmp_path, monkeypatch):
         # Disable checksum verification: the corrupt cell must fail
         # the sweep, and the CLI must surface it as exit code 1.
-        from repro.runtime import checkpoint as checkpoint_module
+        from repro import durable
 
+        checksum = durable.payload_checksum
         monkeypatch.setattr(
-            checkpoint_module,
-            "verify_checksum",
-            lambda data, path: None,
+            durable,
+            "payload_checksum",
+            lambda record: record.get("checksum", checksum(record)),
         )
         code = main(
             [

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import pytest
 
+from repro import durable
 from repro.chaos import invariants
 from repro.chaos.invariants import ChaosReport, InvariantChecker
 from repro.chaos.schedule import ChaosSpec
@@ -106,9 +107,13 @@ class TestReport:
 
 
 def _skip_checksum(monkeypatch):
-    """Checkpoint loads no longer verify payload checksums."""
+    """The shared record check trusts every stored checksum, so
+    checkpoint loads no longer verify payload checksums."""
+    checksum = durable.payload_checksum
     monkeypatch.setattr(
-        checkpoint_module, "verify_checksum", lambda data, path: None
+        durable,
+        "payload_checksum",
+        lambda record: record.get("checksum", checksum(record)),
     )
 
 
@@ -116,20 +121,17 @@ def _write_in_place(monkeypatch):
     """Checkpoints are written in place, not tmp-fsync-rename: a
     SIGKILL mid-write leaves a torn file on disk."""
 
-    def _non_atomic_write_json(path, payload):
-        text = json.dumps(payload, indent=2, sort_keys=True)
+    def _non_atomic_write(path, text, fault_site=None):
         path.write_text(text[: len(text) // 2])
         checkpoint_module.fault_point(
-            "checkpoint.write",
+            fault_site,
             path=str(path),
-            tmp=str(path.with_suffix(path.suffix + ".tmp")),
+            tmp=str(durable.tmp_path(path)),
             text=text,
         )
         path.write_text(text)
 
-    monkeypatch.setattr(
-        checkpoint_module, "_write_json", _non_atomic_write_json
-    )
+    monkeypatch.setattr(checkpoint_module, "atomic_write", _non_atomic_write)
 
 
 def _call_once(monkeypatch):
@@ -343,6 +345,14 @@ MUTATIONS = (
         "raise-transient",
         2,
         "raise-transient fault recorded a deterministic failure",
+    ),
+    Mutation(
+        "no-retry-quarantine",
+        _call_once,
+        "studies.quarantine",
+        "raise-transient",
+        0,
+        "trial raised TransientHarnessError",
     ),
     Mutation(
         "no-retry-checkpoint-write",

@@ -1,27 +1,32 @@
-"""Corrupted / truncated / stale checkpoints across every load path.
+"""Corrupted / truncated / stale / older checkpoints on every load path.
 
-The durability contract (format v3): a checkpoint that is unreadable,
-torn, or silently altered at rest must raise ``CheckpointError`` from
-every consumer — the snapshot classes, both runners' ``--resume``
-paths, and the CLI (which turns it into exit code 4) — never resume
-from wrong state.
+The durability contract: a checkpoint that is unreadable, torn,
+silently altered at rest, or written in an older format must raise
+``CheckpointError`` from every consumer — ``Checkpoint.load``, both
+runners' ``--resume`` paths, and the CLI (which turns it into exit
+code 4) — never resume from wrong state.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro import serde
 from repro.chaos import trials
 from repro.cli import main
 from repro.durable import payload_checksum
 from repro.exitcodes import ExitCode
-from repro.runtime.checkpoint import (
-    CHECKPOINT_VERSION,
-    CampaignCheckpoint,
-    FleetCheckpoint,
-    cleanup_stale_tmp,
-)
+from repro.runtime.checkpoint import Checkpoint, cleanup_stale_tmp
 from repro.runtime.errors import CheckpointError
+
+#: A campaign checkpoint in format v3, the format before checkpoints
+#: became a serde-tagged record (``trials.make_campaign_runner``, two
+#: steps).
+V3_FILE = (
+    Path(__file__).parent / "data" / "durable" / "campaign-checkpoint-v3.json"
+)
 
 
 def _campaign_checkpoint(tmp_path):
@@ -31,9 +36,15 @@ def _campaign_checkpoint(tmp_path):
     return path
 
 
+def _v3_checkpoint(tmp_path):
+    path = tmp_path / "ck.json"
+    shutil.copy(V3_FILE, path)
+    return path
+
+
 def _v2_checkpoint(tmp_path):
     """A campaign checkpoint in format v2, which had no checksum."""
-    path = _campaign_checkpoint(tmp_path)
+    path = _v3_checkpoint(tmp_path)
     data = json.loads(path.read_text())
     data["version"] = 2
     del data["checksum"]
@@ -41,10 +52,18 @@ def _v2_checkpoint(tmp_path):
     return path
 
 
+def _load(path):
+    return Checkpoint.load(path, trials.make_campaign_runner().digest)
+
+
 def _fleet_checkpoint(tmp_path):
     path = tmp_path / "fleet.json"
     trials.make_fleet_runner(path).run(n_days=trials.FLEET_N_DAYS)
     return path
+
+
+def _load_fleet(path):
+    return Checkpoint.load(path, trials.make_fleet_runner().digest)
 
 
 class TestChecksum:
@@ -59,10 +78,11 @@ class TestChecksum:
         payload["checksum"] = digest
         assert payload_checksum(payload) == digest
 
-    def test_written_file_carries_version_and_checksum(self, tmp_path):
+    def test_written_file_carries_schema_and_checksum(self, tmp_path):
         path = _campaign_checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        assert data["version"] == CHECKPOINT_VERSION == 3
+        assert data[serde.SCHEMA_KEY] == "checkpoint"
+        assert data[serde.VERSION_KEY] == 1
         assert data["checksum"] == payload_checksum(data)
 
 
@@ -71,59 +91,61 @@ class TestAtRestCorruption:
         path = tmp_path / "ck.json"
         path.write_text("")
         with pytest.raises(CheckpointError):
-            CampaignCheckpoint.load(path)
+            _load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = _campaign_checkpoint(tmp_path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(CheckpointError):
-            CampaignCheckpoint.load(path)
+            _load(path)
 
     def test_valid_json_with_altered_payload_rejected(self, tmp_path):
         # The case only the checksum can catch: the file still parses
         # and carries plausible fields, but resume state was altered.
         path = _campaign_checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        data["next_step"] += 1
+        data["cursor"] += 1
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="checksum"):
-            CampaignCheckpoint.load(path)
+            _load(path)
 
-    def test_missing_checksum_on_v3_rejected(self, tmp_path):
+    def test_missing_checksum_rejected(self, tmp_path):
         path = _campaign_checkpoint(tmp_path)
         data = json.loads(path.read_text())
         del data["checksum"]
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="checksum"):
-            CampaignCheckpoint.load(path)
+            _load(path)
 
-    def test_old_version_rejected(self, tmp_path):
-        path = _v2_checkpoint(tmp_path)
-        with pytest.raises(CheckpointError, match="version 2"):
-            CampaignCheckpoint.load(path)
+    @pytest.mark.parametrize("older", [_v2_checkpoint, _v3_checkpoint])
+    def test_older_checkpoint_refused(self, tmp_path, older):
+        path = older(tmp_path)
+        with pytest.raises(CheckpointError, match="schema"):
+            _load(path)
+        assert path.exists()
 
     def test_fleet_truncation_rejected(self, tmp_path):
         path = _fleet_checkpoint(tmp_path)
         text = path.read_text()
         path.write_text(text[: len(text) // 3])
         with pytest.raises(CheckpointError):
-            FleetCheckpoint.load(path)
+            _load_fleet(path)
 
     def test_fleet_altered_payload_rejected(self, tmp_path):
         path = _fleet_checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        data["raining"] = not data["raining"]
+        data["state"]["raining"] = not data["state"]["raining"]
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="checksum"):
-            FleetCheckpoint.load(path)
+            _load_fleet(path)
 
 
 class TestRunnerResume:
     def test_campaign_resume_refuses_corruption(self, tmp_path):
         path = _campaign_checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        data["events_used"] += 7
+        data["state"]["events_used"] += 7
         path.write_text(json.dumps(data))
         runner = trials.make_campaign_runner(path)
         with pytest.raises(CheckpointError):
@@ -201,7 +223,7 @@ class TestCliExitCode:
     ):
         path = _campaign_checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        data["next_step"] += 1
+        data["cursor"] += 1
         path.write_text(json.dumps(data))
         code = main(
             [
@@ -216,8 +238,11 @@ class TestCliExitCode:
         assert code == ExitCode.CHECKPOINT
         assert "checksum" in capsys.readouterr().out
 
-    def test_run_resume_v2_checkpoint_exits_4(self, tmp_path, capsys):
-        path = _v2_checkpoint(tmp_path)
+    @pytest.mark.parametrize("older", [_v2_checkpoint, _v3_checkpoint])
+    def test_run_resume_older_checkpoint_exits_4(
+        self, tmp_path, capsys, older
+    ):
+        path = older(tmp_path)
         code = main(
             [
                 "run",
@@ -229,4 +254,4 @@ class TestCliExitCode:
             ]
         )
         assert code == ExitCode.CHECKPOINT
-        assert "version 2" in capsys.readouterr().out
+        assert "schema" in capsys.readouterr().out

@@ -10,6 +10,14 @@ formats did not change.  The cache entry's version has since gone to
 Monte Carlo answers lost their ``degraded_shards`` field at version
 3), so its file differs from the one that code wrote in
 ``schema_version`` and ``checksum`` only.
+
+Checkpoints changed format on purpose when they became a serde-tagged
+``checkpoint`` record checked by :func:`repro.durable.record_defect`,
+so their reference file was written by that code.  The file the older
+code wrote (format v3) is kept beside it, and
+:func:`test_checkpoint_reference_holds_the_v3_run` shows the two hold
+the same run: the same exposures, events, spawn position, strikes
+used and cursor.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro import durable
-from repro.runtime.checkpoint import CampaignCheckpoint, cleanup_stale_tmp
+from repro.runtime.checkpoint import Checkpoint, cleanup_stale_tmp
 from repro.runtime.errors import CheckpointError
 from repro.service.cache import ResultCache
 from repro.service.protocol import Query
@@ -35,7 +43,7 @@ DATA = Path(__file__).parent / "data" / "durable"
 
 #: Fields a "corrupt but valid JSON" edit must leave alone: changing
 #: them is a version error, not silent corruption.
-_VERSION_FIELDS = ("schema_version", "version")
+_VERSION_FIELDS = ("schema_version",)
 
 
 def _no_sleep(_delay_s: float) -> None:
@@ -142,30 +150,38 @@ class CheckpointCase:
         self.root = root
         self.record = _parent_record(self.parent_file)
         self.key = "ck.json"
-        self.expected = self.record
+        self.expected = _checkpoint(self.record)
 
     def path(self, key: str) -> Path:
         return self.root / key
 
     def publish(self) -> Path:
-        CampaignCheckpoint.from_dict(self.record).save(self.path(self.key))
+        self.expected.save(self.path(self.key))
         return self.path(self.key)
 
     def read(self, key: str):
-        checkpoint = CampaignCheckpoint.load(self.path(key))
-        checkpoint.require_digest(self.record["digest"])
-        return checkpoint.to_dict()
+        return Checkpoint.load(self.path(key), self.record["digest"])
 
     def recover(self) -> None:
         cleanup_stale_tmp(self.path(self.key))
 
     def misfile(self) -> str:
-        # A checkpoint's address is its plan digest: another plan's
+        # A checkpoint's address is its run's digest: another run's
         # valid checkpoint at this path must not resume this run.
-        other = CampaignCheckpoint.from_dict(self.record)
+        other = _checkpoint(self.record)
         other.digest = "0" * 64
         other.save(self.path(self.key))
         return self.key
+
+
+def _checkpoint(record: dict) -> Checkpoint:
+    return Checkpoint(
+        digest=record["digest"],
+        cursor=record["cursor"],
+        state=record["state"],
+        done=record["done"],
+        events=record["events"],
+    )
 
 
 CASES = {
@@ -274,6 +290,18 @@ def test_parent_commit_file_loads_without_warning(case):
         warnings.simplefilter("error")
         assert case.read(case.key) == case.expected
     assert _quarantined(case.root) == []
+
+
+def test_checkpoint_reference_holds_the_v3_run():
+    record = _parent_record(CheckpointCase.parent_file)
+    v3 = _parent_record("campaign-checkpoint-v3.json")
+    assert record["done"] == v3["exposures"]
+    assert record["events"] == v3["events"]
+    assert record["state"] == {
+        "spawn_position": v3["spawn_position"],
+        "events_used": v3["events_used"],
+    }
+    assert record["cursor"] == v3["next_step"]
 
 
 def test_surrogate_save_fsyncs_the_artifact_and_its_directory(

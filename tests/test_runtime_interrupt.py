@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -16,10 +17,14 @@ from repro.exitcodes import ExitCode
 from repro.obs import core as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_report, summarize
-from repro.runtime.checkpoint import CampaignCheckpoint
+from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.errors import TransientHarnessError
 from repro.runtime.events import EventKind, EventLog
-from repro.runtime.supervisor import CampaignRunner, Supervisor
+from repro.runtime.supervisor import (
+    CampaignRunner,
+    Supervisor,
+    signal_interrupt,
+)
 from repro.chaos.trials import build_campaign_plan
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,14 +47,15 @@ def test_interrupt_stops_between_steps_and_flushes(tmp_path):
         seen.append(1)
         return len(seen) > 2
 
-    outcome = CampaignRunner(
+    runner = CampaignRunner(
         build_campaign_plan(),
         seed=2020,
         checkpoint_path=checkpoint,
         checkpoint_every=1,
         sleep=_no_sleep,
         interrupt=interrupt,
-    ).run()
+    )
+    outcome = runner.run()
     assert outcome.interrupted
     assert not outcome.completed
     assert outcome.steps_completed == 2
@@ -57,8 +63,7 @@ def test_interrupt_stops_between_steps_and_flushes(tmp_path):
         e.kind == EventKind.INTERRUPT for e in outcome.events
     )
     # The final checkpoint flushed and resumes to completion.
-    snapshot = CampaignCheckpoint.load(checkpoint)
-    assert snapshot.next_step == 2
+    assert Checkpoint.load(checkpoint, runner.digest).cursor == 2
     resumed = CampaignRunner(
         build_campaign_plan(),
         seed=2020,
@@ -79,6 +84,36 @@ def test_uninterrupted_run_reports_no_interrupt(tmp_path):
     ).run()
     assert outcome.completed
     assert outcome.interrupted is False
+
+
+def test_signal_interrupt_sets_the_flag_and_restores_handlers():
+    before = {
+        signum: signal.getsignal(signum)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    with signal_interrupt() as interrupted:
+        assert not interrupted()
+        # Raises no KeyboardInterrupt: the handler only sets the flag.
+        signal.raise_signal(signal.SIGINT)
+        assert interrupted()
+    after = {signum: signal.getsignal(signum) for signum in before}
+    assert after == before
+
+
+def test_signal_interrupt_installs_nothing_off_the_main_thread():
+    before = signal.getsignal(signal.SIGINT)
+    seen = []
+
+    def _embedded():
+        with signal_interrupt() as interrupted:
+            seen.append((signal.getsignal(signal.SIGINT), interrupted()))
+
+    thread = threading.Thread(target=_embedded)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [(before, False)]
+    assert signal.getsignal(signal.SIGINT) is before
 
 
 # -- fresh-process signal test -----------------------------------------
@@ -135,15 +170,16 @@ def test_sigint_exits_interrupted_with_flushed_checkpoint(tmp_path):
         assert proc.returncode == int(ExitCode.INTERRUPTED), out
         assert "INTERRUPTED" in out
         assert "resume with:" in out
-        snapshot = CampaignCheckpoint.load(checkpoint)
-        assert 0 < snapshot.next_step < 52
-        resumed = CampaignRunner(
+        runner = CampaignRunner(
             build_campaign_plan("figure4"),
             seed=2020,
             checkpoint_path=checkpoint,
             checkpoint_every=1,
             sleep=_no_sleep,
-        ).run(resume=True)
+        )
+        snapshot = Checkpoint.load(checkpoint, runner.digest)
+        assert 0 < snapshot.cursor < 52
+        resumed = runner.run(resume=True)
         assert resumed.completed
         return
     pytest.skip("run finished before SIGINT landed in 3 attempts")
