@@ -40,13 +40,16 @@ store, the breakers, the supervisor and the budget tracker, and it
 consumes results in plan order: each pending shard goes through the
 same ``_run_shard`` steps as in-process, and its first attempt,
 still behind the ``studies.shard_dispatch`` fault point, takes the
-worker's payload instead of evaluating.  A worker gets at most one
-shard at a time, with the engine the parent would pick at
-submission; the parent takes the payload only if it would pick that
-engine now.  Everything else evaluates in-process exactly as without
-a pool: a changed pick, every retry, every shard after a worker
-death breaks the pool, and every run with one usable CPU.  Ledger,
-store and report bytes therefore do not depend on the process count.
+worker's payload instead of evaluating.  The pool keeps
+:data:`_SHARDS_PER_WORKER` shards per worker queued ahead in plan
+order, each with the engine the parent would pick at submission, so
+a worker that finishes while the parent commits (about four fsyncs
+a shard) starts the next shard at once; the parent takes a payload
+only if it would pick that engine now.  Everything else evaluates
+in-process exactly as without a pool: a changed pick, every retry,
+every shard after a worker death breaks the pool, and every run
+with one usable CPU.  Ledger, store and report bytes therefore do
+not depend on the process count.
 """
 
 from __future__ import annotations
@@ -99,12 +102,18 @@ def _usable_cpus() -> int:
 #: the worker's pending payload.
 _Prefetched = Tuple[str, Future]
 
+#: Shards queued per worker ahead of the parent's commits.  With one,
+#: a worker that finishes a cheap shard idles while the parent
+#: commits the shard before it.
+_SHARDS_PER_WORKER = 4
+
 
 class _ShardPool:
     """Upcoming shards' first attempts, evaluated on worker processes.
 
-    Keeps at most one shard per worker in flight, submitted in plan
-    order; the scheduler takes them back in the same order.
+    Keeps up to :data:`_SHARDS_PER_WORKER` shards per worker submitted
+    ahead, in plan order; the scheduler takes them back in the same
+    order.  A shard's engine is the one picked when it was submitted.
 
     Args:
         executor: the worker processes.
@@ -126,7 +135,7 @@ class _ShardPool:
         stored: Callable[[Shard], bool],
     ) -> None:
         self._executor = executor
-        self._n_workers = n_workers
+        self._depth = _SHARDS_PER_WORKER * n_workers
         self._spec = spec
         self._ahead = deque(shards)
         self._pick = pick
@@ -165,17 +174,19 @@ class _ShardPool:
         return payload
 
     def close(self) -> None:
-        """Shut the pool down; in-flight shards finish, unused."""
+        """Shut the pool down; shards not yet handed to a worker are
+        cancelled, the rest finish, unused."""
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
     def _fill(self) -> None:
-        """Give every idle worker the next shard in plan order."""
+        """Submit the next shards in plan order until the queue is
+        full."""
         while (
             self._executor is not None
             and self._ahead
-            and len(self._inflight) < self._n_workers
+            and len(self._inflight) < self._depth
         ):
             shard = self._ahead.popleft()
             if self._stored(shard):

@@ -1,13 +1,17 @@
 """Spectrum container: construction, integrals, algebra, sampling.
 
 Property-based invariants: band additivity, scaling linearity, and
-sampled energies respecting the grid support.
+sampled energies respecting the grid support.  The source sampler is
+held bit for bit to ``Generator.choice``, the form it replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.spectra.beamlines import chipir_spectrum, rotax_spectrum
 from repro.spectra.spectrum import Spectrum, default_energy_grid
 
 
@@ -34,6 +38,20 @@ class TestConstruction:
     def test_rejects_negative_flux(self):
         with pytest.raises(ValueError):
             Spectrum([1.0, 2.0], [-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_flux(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum([1.0, 2.0, 3.0], [1.0, bad])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[1.0, math.nan, 3.0], [1.0, 2.0, math.inf]],
+        ids=["nan-edge", "inf-edge"],
+    )
+    def test_rejects_non_finite_edges(self, edges):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(edges, [1.0, 1.0])
 
     def test_arrays_read_only(self, flat_spectrum):
         with pytest.raises(ValueError):
@@ -189,3 +207,169 @@ class TestFoldingAndSampling:
         assert s.band_flux(edges[0], mid) + s.band_flux(
             mid, edges[-1]
         ) == pytest.approx(s.total_flux(), rel=1e-9, abs=1e-9)
+
+
+def _choice_oracle(spectrum, rng, n):
+    """The sampler's former form: ``choice``'s group pick, then a
+    lethargy-flat energy in the group."""
+    probs = spectrum.group_flux / spectrum.total_flux()
+    groups = rng.choice(spectrum.n_groups, size=n, p=probs)
+    lo = spectrum.edges[groups]
+    hi = spectrum.edges[groups + 1]
+    return lo * (hi / lo) ** rng.random(n)
+
+
+def _assert_matches_choice(spectrum, seed, n):
+    """Same energies, bit for bit, and the same next generator draw."""
+    expected_rng = np.random.default_rng(seed)
+    actual_rng = np.random.default_rng(seed)
+    expected = _choice_oracle(spectrum, expected_rng, n)
+    actual = spectrum.sample_energies(actual_rng, n)
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+    assert actual_rng.random() == expected_rng.random()
+
+
+def _most_cdf_steps_in_a_bucket(spectrum, buckets=4096):
+    """The most cdf steps one guide bucket holds (0 when none does)."""
+    cdf = (spectrum.group_flux / spectrum.total_flux()).cumsum()
+    cdf /= cdf[-1]
+    keys = np.arange(buckets + 1) / buckets
+    first = cdf.searchsorted(keys[:-1], side="right")
+    last = cdf.searchsorted(keys[1:], side="left")
+    return int((last - first).max())
+
+
+class _GivenUniforms:
+    """Hands out given uniforms in order, as ``Generator.random``
+    would hand out its own."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+        self._at = 0
+
+    def random(self, n):
+        out = self._values[self._at:self._at + n].copy()
+        self._at += n
+        return out
+
+
+def _with_zero_groups(lead, body, trail):
+    fluxes = [0.0] * lead + body + [0.0] * trail
+    edges = np.logspace(-3.0, 7.0, len(fluxes) + 1)
+    return Spectrum(edges, fluxes)
+
+
+_SIZES = [0, 1, 4096, 20000]
+
+
+def _equal_fluxes():
+    # Every cdf value falls on a bucket boundary.
+    return _with_zero_groups(0, [1.0] * 8, 0)
+
+
+class TestSamplerMatchesChoice:
+    @pytest.mark.parametrize("n", _SIZES)
+    @pytest.mark.parametrize(
+        "spectrum",
+        [rotax_spectrum, chipir_spectrum, _equal_fluxes],
+        ids=["rotax", "chipir", "steps-on-bucket-edges"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 31337])
+    def test_fixed_spectra(self, spectrum, n, seed):
+        _assert_matches_choice(spectrum(), seed, n)
+
+    @given(
+        lead=st.integers(min_value=0, max_value=4),
+        body=st.lists(
+            st.one_of(
+                st.just(0.0), st.floats(min_value=1e-12, max_value=1e6)
+            ),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda fluxes: sum(fluxes) > 0.0),
+        trail=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.sampled_from(_SIZES),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_zero_flux_groups_anywhere(self, lead, body, trail, seed, n):
+        _assert_matches_choice(_with_zero_groups(lead, body, trail), seed, n)
+
+    @pytest.mark.parametrize("n", _SIZES)
+    @pytest.mark.parametrize("group", [0, 5, 11])
+    def test_single_non_zero_group(self, group, n):
+        fluxes = [0.0] * 12
+        fluxes[group] = 3.5
+        spectrum = _with_zero_groups(0, fluxes, 0)
+        _assert_matches_choice(spectrum, 11, n)
+        if n:
+            energies = spectrum.sample_energies(np.random.default_rng(3), n)
+            assert (energies >= spectrum.edges[group]).all()
+            assert (energies <= spectrum.edges[group + 1]).all()
+
+    @pytest.mark.parametrize("n", _SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clustered_tiny_probabilities(self, seed, n):
+        # Two runs of 200 groups, each group about a twentieth of a
+        # bucket wide, between three heavy groups: ten buckets of
+        # twenty cdf steps per run, and tens of draws land in them.
+        tiny = [1.0 / (4096 * 20)] * 200
+        heavy = (1.0 - 2 * sum(tiny)) / 3
+        fluxes = [heavy] + tiny + [heavy] + tiny + [heavy]
+        spectrum = _with_zero_groups(0, fluxes, 0)
+        assert _most_cdf_steps_in_a_bucket(spectrum) >= 19
+        _assert_matches_choice(spectrum, seed, n)
+        if n == 20000:
+            energies = spectrum.sample_energies(
+                np.random.default_rng(seed), n
+            )
+            in_runs = (
+                (energies >= spectrum.edges[1])
+                & (energies <= spectrum.edges[201])
+            ) | (
+                (energies >= spectrum.edges[202])
+                & (energies <= spectrum.edges[402])
+            )
+            assert in_runs.sum() > 10
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            rotax_spectrum,
+            _equal_fluxes,
+            lambda: _with_zero_groups(
+                2, [3.0, 1e-9, 1e-9, 1e-9, 0.0, 5.0], 2
+            ),
+        ],
+        ids=["rotax", "steps-on-bucket-edges", "clustered"],
+    )
+    def test_uniforms_on_every_cdf_step_and_bucket_edge(self, spectrum):
+        # ``choice`` gives uniform ``u`` the group
+        # ``cdf.searchsorted(u, side="right")``; random draws almost
+        # never land exactly on a step, so these uniforms do.
+        spectrum = spectrum()
+        cdf = (spectrum.group_flux / spectrum.total_flux()).cumsum()
+        cdf /= cdf[-1]
+        keys = np.concatenate([cdf[cdf < 1.0], np.arange(4096) / 4096])
+        u = np.concatenate(
+            [keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        groups = cdf.searchsorted(u, side="right")
+        within = np.linspace(0.0, 1.0, u.size, endpoint=False)
+        lo = spectrum.edges[groups]
+        hi = spectrum.edges[groups + 1]
+        expected = lo * (hi / lo) ** within
+        actual = spectrum.sample_energies(
+            _GivenUniforms(np.concatenate([u, within])), u.size
+        )
+        assert actual.tobytes() == expected.tobytes()
+
+    def test_overflowing_total_is_refused_like_choice(self):
+        spectrum = Spectrum([1.0, 2.0, 3.0], [1e308, 1e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError):
+                _choice_oracle(spectrum, np.random.default_rng(0), 4)
+            with pytest.raises(ValueError, match="overflows"):
+                spectrum.sample_energies(np.random.default_rng(0), 4)

@@ -12,12 +12,13 @@ import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.obs.core import Observer, observing
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.budget import CircuitBreaker, RetryPolicy
+from repro.runtime.budget import Budget, CircuitBreaker, RetryPolicy
 from repro.runtime.errors import TransientHarnessError
 from repro.runtime.events import EventKind
 from repro.studies import evaluate as evaluation
@@ -45,6 +46,22 @@ SPEC = StudySpec(
     shard_size=1,
 )
 
+#: Twenty-four one-point shards: more than the pool queues ahead.
+LONG_SPEC = StudySpec(
+    name="pool-long",
+    axes={
+        "site": ("nyc", "leadville", "lanl", "isis"),
+        "shield": ("none", "cadmium", "water"),
+        "weather": ("sunny", "rain"),
+    },
+    n_neutrons=256,
+    seed=23,
+    shard_size=1,
+)
+
+#: Shards a two-worker pool keeps submitted ahead.
+TWO_WORKER_DEPTH = 2 * scheduler_module._SHARDS_PER_WORKER
+
 
 def _no_sleep(_delay_s):
     pass
@@ -60,7 +77,7 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-def _scheduler(root, **overrides):
+def _scheduler(root, spec=SPEC, **overrides):
     kwargs = {
         "ledger_path": root / "ledger.jsonl",
         "store_root": root / "store",
@@ -68,7 +85,7 @@ def _scheduler(root, **overrides):
         "sleep": _no_sleep,
     }
     kwargs.update(overrides)
-    return StudyScheduler(SPEC, **kwargs)
+    return StudyScheduler(spec, **kwargs)
 
 
 def _observed_run(scheduler):
@@ -186,8 +203,8 @@ class TestInProcessFallbacks:
             polls = []
 
             def open_batch_after_first_shard():
-                # Shards 1 and 2 are on the two workers with batch by
-                # now; the parent must evaluate both in-process.
+                # The first take queued every shard with batch, so
+                # the parent must evaluate shards 1 to 5 in-process.
                 polls.append(1)
                 if len(polls) == 2:
                     while not breakers["batch"].open:
@@ -206,12 +223,11 @@ class TestInProcessFallbacks:
         serial, _ = run(tmp_path / "serial")
         cpus(2)
         pooled, metrics = run(tmp_path / "pooled")
+        assert TWO_WORKER_DEPTH >= SPEC.n_shards
         assert metrics.counter(
             "repro_study_pool_fallbacks_total", reason="changed-pick"
-        ) == 2
-        assert metrics.counter("repro_study_pool_shards_total") == (
-            SPEC.n_shards - 2
-        )
+        ) == SPEC.n_shards - 1
+        assert metrics.counter("repro_study_pool_shards_total") == 1
         assert len(pooled.report.degraded_shards) == SPEC.n_shards - 1
         assert _durable_bytes(tmp_path / "pooled", pooled) == (
             _durable_bytes(tmp_path / "serial", serial)
@@ -252,6 +268,103 @@ class TestInProcessFallbacks:
         assert json.dumps(orphan.points[0], sort_keys=True) not in points
         assert metrics.counter("repro_study_pool_shards_total") == (
             SPEC.n_shards - 1
+        )
+        assert _durable_bytes(tmp_path / "pooled", pooled) == (
+            _durable_bytes(tmp_path / "serial", serial)
+        )
+
+
+class _RecordingExecutor:
+    """Stands in for the worker processes: records each submission
+    and runs nothing."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, shard, spec, engine):
+        self.submitted.append((shard.index, engine))
+        return Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestQueueDepth:
+    def test_first_take_queues_the_depth_in_plan_order(self):
+        shards = LONG_SPEC.shards()
+        stored = {1, 4}
+        executor = _RecordingExecutor()
+        engine = ["batch"]
+        pool = scheduler_module._ShardPool(
+            executor,
+            2,
+            LONG_SPEC,
+            shards,
+            pick=lambda: engine[0],
+            stored=lambda shard: shard.index in stored,
+        )
+        unstored = [
+            shard.index for shard in shards if shard.index not in stored
+        ]
+        assert TWO_WORKER_DEPTH < len(unstored)
+        assert pool.take(shards[0])[0] == "batch"
+        assert executor.submitted == [
+            (index, "batch") for index in unstored[:TWO_WORKER_DEPTH]
+        ]
+        # A stored shard is never queued; the next take tops the
+        # queue up, with the engine picked now.
+        engine[0] = "deterministic"
+        assert pool.take(shards[1]) is None
+        assert executor.submitted[TWO_WORKER_DEPTH:] == [
+            (unstored[TWO_WORKER_DEPTH], "deterministic")
+        ]
+
+    def test_pool_keeps_computing_after_budget_pressure(
+        self, tmp_path, cpus
+    ):
+        n_shards = LONG_SPEC.n_shards
+        # The budget pressure starts at the middle shard, and the
+        # pool has queued a full depth of batch shards past it.
+        assert TWO_WORKER_DEPTH < n_shards // 2
+
+        def run(root):
+            now = [0.0]
+
+            def one_step_per_shard():
+                # The fake clock moves with the shards alone, so the
+                # pick changes at the same shard however often the
+                # pool reads it.
+                now[0] += 100.0 / (n_shards + 1)
+                return False
+
+            return _observed_run(
+                _scheduler(
+                    root,
+                    spec=LONG_SPEC,
+                    budget=Budget(wall_clock_s=100.0),
+                    clock=lambda: now[0],
+                    interrupt=one_step_per_shard,
+                )
+            )
+
+        cpus(1)
+        serial, _ = run(tmp_path / "serial")
+        cpus(2)
+        pooled, metrics = run(tmp_path / "pooled")
+        assert pooled.status == "degraded"
+        degraded = pooled.report.degraded_shards
+        assert {entry["engine"] for entry in degraded} == {"deterministic"}
+        assert {entry["reason"] for entry in degraded} == {
+            "budget-pressure"
+        }
+        assert len(degraded) == n_shards // 2
+        # Only the shards queued with batch before the change fall
+        # back; every shard submitted after it runs on the pool.
+        assert metrics.counter(
+            "repro_study_pool_fallbacks_total", reason="changed-pick"
+        ) == TWO_WORKER_DEPTH
+        assert metrics.counter("repro_study_pool_shards_total") == (
+            n_shards - TWO_WORKER_DEPTH
         )
         assert _durable_bytes(tmp_path / "pooled", pooled) == (
             _durable_bytes(tmp_path / "serial", serial)
